@@ -19,7 +19,17 @@
 namespace dysel {
 namespace kdp {
 
-/** One dynamic memory access, in execution order. */
+/**
+ * One dynamic memory access, in execution order.
+ *
+ * @c seq counts each lane's accesses densely from 0 (GroupCtx keeps
+ * one counter per lane; a fused launch hands each member a fresh
+ * context, so the counters restart per member).  Either way a lane's
+ * largest seq is below its access count, so the timing models' op
+ * table -- max(seq) + 1 rows per lane group -- never outgrows the
+ * trace.  sim/op_groups.hh relies on this and panics on a trace that
+ * breaks it; BranchEvent::seq follows the same rule.
+ */
 struct MemAccess
 {
     std::uint64_t addr;     ///< virtual device address

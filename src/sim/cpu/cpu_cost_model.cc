@@ -1,8 +1,9 @@
 #include "cpu_cost_model.hh"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
+
+#include "sim/op_groups.hh"
 
 namespace dysel {
 namespace sim {
@@ -38,27 +39,6 @@ scalarCost(const kdp::WorkGroupTrace &trace, CpuCoreState &core, Cache &l3,
     return cycles;
 }
 
-/** Key identifying one vector machine op: (lane group, op seq). */
-struct OpKey
-{
-    std::uint32_t laneGroup;
-    std::uint32_t seq;
-
-    bool operator==(const OpKey &o) const
-    {
-        return laneGroup == o.laneGroup && seq == o.seq;
-    }
-};
-
-struct OpKeyHash
-{
-    std::size_t
-    operator()(const OpKey &k) const
-    {
-        return (static_cast<std::size_t>(k.laneGroup) << 32) ^ k.seq;
-    }
-};
-
 /**
  * Vectorized replay.  Accesses with the same per-lane sequence number
  * inside a group of @p w adjacent lanes form one SIMD memory op:
@@ -71,34 +51,32 @@ vectorCost(const kdp::WorkGroupTrace &trace,
            const CpuCostParams &p)
 {
     const unsigned w = traits.vectorWidth;
-
-    // Bucket access indices by machine op.
-    std::unordered_map<OpKey, std::vector<std::uint32_t>, OpKeyHash> ops;
-    ops.reserve(trace.accesses.size() / w + 1);
-    for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
-        const auto &a = trace.accesses[i];
-        ops[{a.lane / w, a.seq}].push_back(i);
-    }
+    // Reused across work-groups; one per thread keeps device workers
+    // independent.
+    thread_local struct
+    {
+        OpGroups ops;
+        std::vector<std::uint64_t> addrs;
+    } scratch;
+    OpGroups &ops = scratch.ops;
+    std::vector<std::uint64_t> &addrs = scratch.addrs;
 
     // Emit machine ops in first-touch order to approximate the real
     // interleaving for the cache model.
-    std::vector<bool> emitted(trace.accesses.size(), false);
+    ops.build(trace.accesses, w);
     double cycles = 0.0;
-    std::vector<std::uint64_t> addrs;
-    for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
-        if (emitted[i])
-            continue;
-        const auto &a = trace.accesses[i];
-        const auto &members = ops[{a.lane / w, a.seq}];
+    for (std::uint32_t key : ops.firstTouch()) {
+        const auto members = ops.members(key);
+        const auto &a = trace.accesses[members[0]];
         addrs.clear();
-        for (std::uint32_t m : members) {
-            emitted[m] = true;
+        for (std::uint32_t m : members)
             addrs.push_back(trace.accesses[m].addr);
-        }
         if (a.space == kdp::MemSpace::Scratchpad)
             cycles += p.scratchLowerExtra
                       * static_cast<double>(members.size());
-        std::sort(addrs.begin(), addrs.end());
+        // Lanes usually access in ascending order.
+        if (!std::is_sorted(addrs.begin(), addrs.end()))
+            std::sort(addrs.begin(), addrs.end());
 
         bool broadcast = true;
         for (std::size_t k = 1; broadcast && k < addrs.size(); ++k)
@@ -141,16 +119,9 @@ vectorCost(const kdp::WorkGroupTrace &trace,
 
     // Divergence: branch groups with mixed outcomes cost masking work
     // proportional to the SIMD width.
-    std::unordered_map<OpKey, std::pair<bool, bool>, OpKeyHash> branch;
-    branch.reserve(trace.branches.size() / w + 1);
-    for (const auto &b : trace.branches) {
-        auto &[saw_taken, saw_not] = branch[{b.lane / w, b.seq}];
-        (b.taken ? saw_taken : saw_not) = true;
-    }
     std::uint64_t divergent = 0;
-    for (const auto &[key, outcome] : branch)
-        if (outcome.first && outcome.second)
-            ++divergent;
+    ops.forEachDivergent(trace.branches, w,
+                         [&](std::uint32_t) { ++divergent; });
     // Masking waste grows superlinearly with the SIMD width: the
     // number of divergent groups roughly halves when the width
     // doubles, so a linear-in-w cost would be width-invariant; the

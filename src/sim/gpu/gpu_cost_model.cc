@@ -1,36 +1,12 @@
 #include "gpu_cost_model.hh"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
+
+#include "sim/op_groups.hh"
 
 namespace dysel {
 namespace sim {
-
-namespace {
-
-struct OpKey
-{
-    std::uint32_t warp;
-    std::uint32_t seq;
-
-    bool operator==(const OpKey &o) const
-    {
-        return warp == o.warp && seq == o.seq;
-    }
-};
-
-struct OpKeyHash
-{
-    std::size_t
-    operator()(const OpKey &k) const
-    {
-        return (static_cast<std::size_t>(k.warp) << 32) ^ k.seq;
-    }
-};
-
-} // namespace
 
 GpuWgCost
 gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
@@ -40,42 +16,55 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
     const unsigned w = p.warpSize;
     const unsigned num_warps = (groupSize + w - 1) / w;
 
-    // Bucket the accesses into warp instructions.
-    std::unordered_map<OpKey, std::vector<std::uint32_t>, OpKeyHash> ops;
-    ops.reserve(trace.accesses.size() / w + 1);
-    for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
-        const auto &a = trace.accesses[i];
-        ops[{a.lane / w, a.seq}].push_back(i);
-    }
-
-    std::vector<double> warp_thruput(num_warps, 0.0);
-    std::vector<double> warp_latency(num_warps, 0.0);
+    // Reused across work-groups; one per thread keeps device workers
+    // independent.
+    thread_local struct
+    {
+        OpGroups ops;
+        std::vector<std::uint64_t> addrs;
+        std::vector<double> warpThruput;
+        std::vector<double> warpLatency;
+    } scratch;
+    OpGroups &ops = scratch.ops;
+    std::vector<std::uint64_t> &addrs = scratch.addrs;
+    std::vector<double> &warp_thruput = scratch.warpThruput;
+    std::vector<double> &warp_latency = scratch.warpLatency;
+    warp_thruput.assign(num_warps, 0.0);
+    warp_latency.assign(num_warps, 0.0);
 
     // Walk instructions in first-touch order for the caches.
-    std::vector<bool> emitted(trace.accesses.size(), false);
-    std::vector<std::uint64_t> segs;
-    for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
-        if (emitted[i])
-            continue;
-        const auto &first = trace.accesses[i];
+    ops.build(trace.accesses, w);
+    for (std::uint32_t key : ops.firstTouch()) {
+        const auto members = ops.members(key);
+        const auto &first = trace.accesses[members[0]];
         const unsigned warp = first.lane / w;
-        const auto &members = ops[{warp, first.seq}];
+        // Each space below works on the op's sorted addresses; lanes
+        // usually access in ascending order.
+        addrs.clear();
+        for (std::uint32_t m : members)
+            addrs.push_back(trace.accesses[m].addr);
+        if (!std::is_sorted(addrs.begin(), addrs.end()))
+            std::sort(addrs.begin(), addrs.end());
 
         double thruput = p.issueOp;
         double latency = 0.0;
+        // Distinct values of addr / @p unit over the sorted addresses,
+        // in ascending order, kept in place at the front of addrs.
+        auto distinctUnits = [&](std::uint64_t unit) {
+            if (unit > 1)
+                for (std::uint64_t &addr : addrs)
+                    addr /= unit;
+            addrs.erase(std::unique(addrs.begin(), addrs.end()),
+                        addrs.end());
+        };
         switch (first.space) {
           case kdp::MemSpace::Global: {
-            segs.clear();
             bool any_atomic = false;
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                segs.push_back(trace.accesses[m].addr / p.segmentBytes);
+            for (std::uint32_t m : members)
                 any_atomic |= trace.accesses[m].atomic;
-            }
-            std::sort(segs.begin(), segs.end());
-            segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
+            distinctUnits(p.segmentBytes);
             bool all_hit = true;
-            for (std::uint64_t s : segs) {
+            for (std::uint64_t s : addrs) {
                 const bool hit = l2.access(s * p.segmentBytes);
                 all_hit &= hit;
                 thruput += hit ? p.txHitCost : p.txCost;
@@ -87,15 +76,9 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
             break;
           }
           case kdp::MemSpace::Texture: {
-            segs.clear();
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                segs.push_back(trace.accesses[m].addr / 32);
-            }
-            std::sort(segs.begin(), segs.end());
-            segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
+            distinctUnits(32);
             bool all_hit = true;
-            for (std::uint64_t s : segs) {
+            for (std::uint64_t s : addrs) {
                 const bool hit = sm.texCache.access(s * 32);
                 all_hit &= hit;
                 thruput += p.texHit;
@@ -109,46 +92,29 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
           case kdp::MemSpace::Scratchpad: {
             // Bank conflicts: 32 four-byte banks; the op serializes
             // into as many rounds as the most contended bank.
-            std::unordered_map<unsigned, unsigned> bank_count;
-            std::unordered_set<std::uint64_t> distinct;
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                const std::uint64_t addr = trace.accesses[m].addr;
-                if (distinct.insert(addr).second)
-                    ++bank_count[(addr / 4) % 32];
-            }
+            distinctUnits(1);
+            unsigned bank_count[32] = {};
             unsigned worst = 1;
-            for (const auto &[bank, cnt] : bank_count)
-                worst = std::max(worst, cnt);
+            for (std::uint64_t addr : addrs)
+                worst = std::max(worst, ++bank_count[(addr / 4) % 32]);
             thruput += p.scratchAccess
                        + static_cast<double>(worst - 1)
                              * p.bankConflictExtra;
             break;
           }
-          case kdp::MemSpace::Constant: {
-            std::unordered_set<std::uint64_t> distinct;
-            for (std::uint32_t m : members) {
-                emitted[m] = true;
-                distinct.insert(trace.accesses[m].addr);
-            }
-            thruput += p.constCost * static_cast<double>(distinct.size());
+          case kdp::MemSpace::Constant:
+            distinctUnits(1);
+            thruput += p.constCost * static_cast<double>(addrs.size());
             break;
-          }
         }
         warp_thruput[warp] += thruput;
         warp_latency[warp] += latency;
     }
 
     // Divergent branches serialize both sides.
-    std::unordered_map<OpKey, std::pair<bool, bool>, OpKeyHash> branch;
-    branch.reserve(trace.branches.size() / w + 1);
-    for (const auto &b : trace.branches) {
-        auto &[saw_taken, saw_not] = branch[{b.lane / w, b.seq}];
-        (b.taken ? saw_taken : saw_not) = true;
-    }
-    for (const auto &[key, outcome] : branch)
-        if (outcome.first && outcome.second)
-            warp_thruput[key.warp] += p.divergentBranch;
+    ops.forEachDivergent(trace.branches, w, [&](std::uint32_t warp) {
+        warp_thruput[warp] += p.divergentBranch;
+    });
 
     // Lock-step ALU: a warp is as slow as its busiest lane.
     for (unsigned warp = 0; warp < num_warps; ++warp) {

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -93,8 +94,24 @@ class DispatchQueue
         return best;
     }
 
-    /** True when no launch has unissued groups. */
-    bool drained() { return pick() == nullptr; }
+    /**
+     * True when no launch has unissued groups, i.e. pick() would
+     * return nullptr.  A pure query: it neither retires launches nor
+     * advances the round-robin.
+     */
+    bool
+    drained() const
+    {
+        for (const auto &[stream, queue] : streams) {
+            // The stream head is its first unfinished launch.
+            auto head = std::find_if(
+                queue.begin(), queue.end(),
+                [](const LaunchPtr &lp) { return !lp->finished(); });
+            if (head != queue.end() && !(*head)->allIssued())
+                return false;
+        }
+        return true;
+    }
 
   private:
     std::map<int, std::deque<LaunchPtr>> streams;

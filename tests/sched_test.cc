@@ -108,6 +108,25 @@ TEST(DispatchQueue, DrainedReflectsOutstandingWork)
     EXPECT_FALSE(q.drained());
     al->nextGroup = 2;
     EXPECT_TRUE(q.drained());
+    // A finished head leaves the next launch in its stream pending.
+    auto next = makeLaunch(1, 0, 1);
+    q.add(next);
+    EXPECT_TRUE(q.drained());
+    al->done = 2;
+    EXPECT_FALSE(q.drained());
+}
+
+TEST(DispatchQueue, DrainedDoesNotAdvanceRoundRobin)
+{
+    DispatchQueue q;
+    auto a = makeLaunch(1, 0, 8);
+    auto b = makeLaunch(2, 0, 8);
+    q.add(a);
+    q.add(b);
+    EXPECT_EQ(q.pick(), a);
+    EXPECT_FALSE(q.drained());
+    // Querying must not count as serving a stream: B is still due.
+    EXPECT_EQ(q.pick(), b);
 }
 
 TEST(DispatchQueue, PriorityBeatsRoundRobinFairness)
