@@ -16,6 +16,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -74,6 +75,9 @@ class GroupCtx
         : groupId(group_id), groupSz(group_size), waf(wa_factor),
           rec(trace), laneSeq(group_size, 0), laneBranchSeq(group_size, 0)
     {
+        if (group_size > maxGroupSize)
+            support::panic("group size %u does not fit the trace's lane "
+                           "field (max %u)", group_size, maxGroupSize);
     }
 
     /** This group's id within the variant's grid. */
@@ -134,9 +138,14 @@ class GroupCtx
     loadSpan(const Buffer<T> &buf, std::uint64_t idx, std::uint32_t count,
              std::uint32_t lane, T *out)
     {
-        record(buf.addrOf(idx),
-               static_cast<std::uint16_t>(count * sizeof(T)), buf.space(),
-               lane, false, false);
+        const std::uint64_t bytes = std::uint64_t{count} * sizeof(T);
+        if (bytes > maxAccessBytes)
+            support::panic("loadSpan of %llu bytes does not fit the "
+                           "trace's width field (max %u)",
+                           static_cast<unsigned long long>(bytes),
+                           maxAccessBytes);
+        record(buf.addrOf(idx), static_cast<std::uint32_t>(bytes),
+               buf.space(), lane, false, false);
         for (std::uint32_t i = 0; i < count; ++i)
             out[i] = buf.at(idx + i);
     }
@@ -165,7 +174,10 @@ class GroupCtx
     branch(std::uint32_t lane, bool taken)
     {
         checkLane(lane);
-        rec->branches.push_back({lane, laneBranchSeq[lane]++, taken});
+        const std::uint32_t seq = laneBranchSeq[lane]++;
+        rec->branches.push_back({lane, seq, taken});
+        std::uint32_t &rows = rec->laneBranchRows[lane];
+        rows = std::max(rows, seq + 1);
     }
 
     /** Work-group barrier. */
@@ -238,13 +250,20 @@ class GroupCtx
                            (unsigned long long)l.count);
     }
 
+    /**
+     * Append one access and raise its lane's row count.  Rows take the
+     * max because a rebased context restarts its counters at 0.
+     */
     void
-    record(std::uint64_t addr, std::uint16_t bytes, MemSpace space,
+    record(std::uint64_t addr, std::uint32_t bytes, MemSpace space,
            std::uint32_t lane, bool write, bool atomic)
     {
         checkLane(lane);
+        const std::uint32_t seq = laneSeq[lane]++;
         rec->accesses.push_back(
-            {addr, lane, laneSeq[lane]++, bytes, space, write, atomic});
+            packAccess(addr, lane, seq, bytes, space, write, atomic));
+        std::uint32_t &rows = rec->laneAccessRows[lane];
+        rows = std::max(rows, seq + 1);
     }
 
     std::uint64_t groupId;

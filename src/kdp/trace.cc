@@ -11,6 +11,8 @@ WorkGroupTrace::reset(std::uint32_t group_size)
     accesses.clear();
     branches.clear();
     laneFlops.assign(group_size, 0);
+    laneAccessRows.assign(group_size, 0);
+    laneBranchRows.assign(group_size, 0);
     barriers = 0;
     scratchBytes = 0;
 }

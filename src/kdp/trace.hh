@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -20,26 +21,70 @@ namespace dysel {
 namespace kdp {
 
 /**
- * One dynamic memory access, in execution order.
+ * One dynamic memory access, in execution order: the address plus one
+ * packed 64-bit word, 16 bytes in all.
  *
  * @c seq counts each lane's accesses densely from 0 (GroupCtx keeps
  * one counter per lane; a fused launch hands each member a fresh
  * context, so the counters restart per member).  Either way a lane's
- * largest seq is below its access count, so the timing models' op
- * table -- max(seq) + 1 rows per lane group -- never outgrows the
- * trace.  sim/op_groups.hh relies on this and panics on a trace that
- * breaks it; BranchEvent::seq follows the same rule.
+ * largest seq is below its access count, and the trace records
+ * max(seq) + 1 per lane in WorkGroupTrace::laneAccessRows, so the
+ * timing models' op table never outgrows the trace.  sim/op_groups.hh
+ * relies on this and panics on a trace that breaks it; BranchEvent::seq
+ * follows the same rule with WorkGroupTrace::laneBranchRows.
+ *
+ * GroupCtx panics rather than truncate a lane or width that does not
+ * fit its field (maxGroupSize, maxAccessBytes).
  */
 struct MemAccess
 {
-    std::uint64_t addr;     ///< virtual device address
-    std::uint32_t lane;     ///< linear work-item id within the group
-    std::uint32_t seq;      ///< per-lane access sequence number
-    std::uint16_t bytes;    ///< access width
-    MemSpace space;         ///< which memory the access targets
-    bool write;             ///< store (or atomic RMW)
-    bool atomic;            ///< atomic operation
+    std::uint64_t addr;          ///< virtual device address
+    std::uint64_t lane : 16;     ///< linear work-item id within the group
+    std::uint64_t seq : 32;      ///< per-lane access sequence number
+    std::uint64_t bytes : 12;    ///< access width
+    MemSpace space : 2;          ///< which memory the access targets
+    bool write : 1;              ///< store (or atomic RMW)
+    bool atomic : 1;             ///< atomic operation
 };
+static_assert(sizeof(MemAccess) == 16, "MemAccess must stay 16 bytes");
+
+/**
+ * A MemAccess built in registers.  Initializing the bit-fields one by
+ * one in place makes GCC read back the half-written word (a stalled
+ * store-to-load forward per record); this packs the word first and
+ * stores it whole.  @p lane and @p bytes must fit their fields
+ * (GroupCtx checks both).  The static_assert below pins the packing to
+ * the bit-field layout.
+ */
+constexpr MemAccess
+packAccess(std::uint64_t addr, std::uint32_t lane, std::uint32_t seq,
+           std::uint32_t bytes, MemSpace space, bool write, bool atomic)
+{
+    struct Words
+    {
+        std::uint64_t addr;
+        std::uint64_t packed;
+    };
+    return std::bit_cast<MemAccess>(Words{
+        addr, std::uint64_t{lane} | std::uint64_t{seq} << 16
+                  | std::uint64_t{bytes} << 48
+                  | std::uint64_t{static_cast<std::uint8_t>(space)} << 60
+                  | std::uint64_t{write} << 62
+                  | std::uint64_t{atomic} << 63});
+}
+static_assert([] {
+    constexpr MemAccess a = packAccess(7, 0xfffe, 0x89abcdef, 0xffd,
+                                       MemSpace::Constant, false, true);
+    return a.addr == 7 && a.lane == 0xfffe && a.seq == 0x89abcdef
+           && a.bytes == 0xffd && a.space == MemSpace::Constant
+           && !a.write && a.atomic;
+}(), "packAccess must match MemAccess's bit-field layout");
+
+/** Largest work-group whose lane ids fit MemAccess::lane. */
+constexpr std::uint32_t maxGroupSize = 1u << 16;
+
+/** Largest access width MemAccess::bytes holds. */
+constexpr std::uint32_t maxAccessBytes = (1u << 12) - 1;
 
 /** One dynamic branch outcome (used for divergence analysis). */
 struct BranchEvent
@@ -63,6 +108,12 @@ struct WorkGroupTrace
 
     /** ALU-op count per lane (indexed by linear local id). */
     std::vector<std::uint64_t> laneFlops;
+
+    /** Per lane, max(seq) + 1 over its accesses (0 if none). */
+    std::vector<std::uint32_t> laneAccessRows;
+
+    /** Per lane, max(seq) + 1 over its branches (0 if none). */
+    std::vector<std::uint32_t> laneBranchRows;
 
     /** Number of work-group barriers executed. */
     std::uint32_t barriers = 0;

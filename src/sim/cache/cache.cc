@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 #include "support/math_util.hh"
 
@@ -10,8 +12,10 @@ Cache::Cache(const CacheConfig &cfg)
     : line(cfg.lineBytes), numWays(cfg.ways)
 {
     using support::isPowerOfTwo;
-    if (!isPowerOfTwo(cfg.lineBytes))
-        support::panic("cache line size must be a power of two");
+    // Lines of two bytes or more keep every tag below invalidTag.
+    if (!isPowerOfTwo(cfg.lineBytes) || cfg.lineBytes < 2)
+        support::panic("cache line size must be a power of two of at "
+                       "least 2 bytes");
     if (cfg.ways == 0 || cfg.sizeBytes == 0)
         support::panic("cache needs nonzero size and ways");
     lineShift = support::floorLog2(cfg.lineBytes);
@@ -22,68 +26,13 @@ Cache::Cache(const CacheConfig &cfg)
         support::panic("cache set count must be a power of two "
                        "(size/ways/line = %llu)",
                        (unsigned long long)sets);
-    waysStore.resize(sets * numWays);
-}
-
-std::uint64_t
-Cache::setIndex(std::uint64_t addr) const
-{
-    return (addr >> lineShift) & (sets - 1);
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t addr) const
-{
-    return addr >> lineShift;
-}
-
-bool
-Cache::access(std::uint64_t addr)
-{
-    ++nAccess;
-    ++tick;
-    const std::uint64_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Way *base = &waysStore[set * numWays];
-
-    Way *victim = base;
-    for (unsigned w = 0; w < numWays; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = tick;
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
-    }
-
-    ++nMiss;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = tick;
-    return false;
-}
-
-bool
-Cache::contains(std::uint64_t addr) const
-{
-    const std::uint64_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    const Way *base = &waysStore[set * numWays];
-    for (unsigned w = 0; w < numWays; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    tags.assign(sets * numWays, invalidTag);
 }
 
 void
 Cache::flush()
 {
-    for (auto &w : waysStore)
-        w = Way{};
+    std::fill(tags.begin(), tags.end(), invalidTag);
 }
 
 void

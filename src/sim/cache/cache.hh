@@ -5,6 +5,14 @@
  * Used by the CPU device (L1/L2 per core, shared L3) and the GPU
  * device (shared L2, per-SM texture cache).  Purely a hit/miss
  * predictor over addresses; latencies are charged by the cost models.
+ *
+ * Each set keeps its tags alone, most recently used first, with ~0 in
+ * invalid ways (a tag is an address shifted right by the line bits,
+ * so it never reaches ~0).  A hit moves its tag to the front; a miss
+ * shifts the set down one way, dropping the last, and puts the new
+ * tag in front.  Invalid ways only ever sit at the back, so a miss
+ * fills one of them while any is left and otherwise evicts the least
+ * recently used tag: exactly LRU, with no timestamps.
  */
 #pragma once
 
@@ -19,12 +27,10 @@ struct CacheConfig
 {
     std::uint64_t sizeBytes;  ///< total capacity
     unsigned ways;            ///< associativity
-    unsigned lineBytes;       ///< line size (power of two)
+    unsigned lineBytes;       ///< line size (power of two, >= 2)
 };
 
-/**
- * A simple LRU set-associative cache.
- */
+/** An LRU set-associative cache of tags. */
 class Cache
 {
   public:
@@ -34,10 +40,37 @@ class Cache
      * Access the line containing @p addr.
      * @return true on hit, false on miss (the line is filled).
      */
-    bool access(std::uint64_t addr);
+    bool
+    access(std::uint64_t addr)
+    {
+        ++nAccess;
+        const std::uint64_t tag = addr >> lineShift;
+        std::uint64_t *set = &tags[(tag & (sets - 1)) * numWays];
+        unsigned w = 0;
+        while (w < numWays && set[w] != tag)
+            ++w;
+        const bool hit = w < numWays;
+        if (!hit) {
+            ++nMiss;
+            w = numWays - 1;
+        }
+        for (; w > 0; --w)
+            set[w] = set[w - 1];
+        set[0] = tag;
+        return hit;
+    }
 
     /** True if the line containing @p addr is currently resident. */
-    bool contains(std::uint64_t addr) const;
+    bool
+    contains(std::uint64_t addr) const
+    {
+        const std::uint64_t tag = addr >> lineShift;
+        const std::uint64_t *set = &tags[(tag & (sets - 1)) * numWays];
+        for (unsigned w = 0; w < numWays; ++w)
+            if (set[w] == tag)
+                return true;
+        return false;
+    }
 
     /** Drop all contents. */
     void flush();
@@ -66,22 +99,13 @@ class Cache
     void resetStats();
 
   private:
-    struct Way
-    {
-        std::uint64_t tag = ~std::uint64_t{0};
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::uint64_t setIndex(std::uint64_t addr) const;
-    std::uint64_t tagOf(std::uint64_t addr) const;
+    static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
 
     unsigned line;
     unsigned lineShift;
     std::uint64_t sets;
     unsigned numWays;
-    std::vector<Way> waysStore; ///< sets * numWays entries
-    std::uint64_t tick = 0;
+    std::vector<std::uint64_t> tags; ///< sets * numWays, MRU first per set
     std::uint64_t nAccess = 0;
     std::uint64_t nMiss = 0;
 };

@@ -1,7 +1,7 @@
 #include "cpu_cost_model.hh"
 
 #include <algorithm>
-#include <vector>
+#include <span>
 
 #include "sim/op_groups.hh"
 
@@ -53,27 +53,18 @@ vectorCost(const kdp::WorkGroupTrace &trace,
     const unsigned w = traits.vectorWidth;
     // Reused across work-groups; one per thread keeps device workers
     // independent.
-    thread_local struct
-    {
-        OpGroups ops;
-        std::vector<std::uint64_t> addrs;
-    } scratch;
-    OpGroups &ops = scratch.ops;
-    std::vector<std::uint64_t> &addrs = scratch.addrs;
+    thread_local OpGroups ops;
 
     // Emit machine ops in first-touch order to approximate the real
     // interleaving for the cache model.
-    ops.build(trace.accesses, w);
+    ops.build(trace, w);
     double cycles = 0.0;
-    for (std::uint32_t key : ops.firstTouch()) {
-        const auto members = ops.members(key);
-        const auto &a = trace.accesses[members[0]];
-        addrs.clear();
-        for (std::uint32_t m : members)
-            addrs.push_back(trace.accesses[m].addr);
+    ops.forEachOp([&](std::uint32_t first, std::span<std::uint64_t> addrs,
+                      bool) {
+        const auto &a = trace.accesses[first];
         if (a.space == kdp::MemSpace::Scratchpad)
             cycles += p.scratchLowerExtra
-                      * static_cast<double>(members.size());
+                      * static_cast<double>(addrs.size());
         // Lanes usually access in ascending order.
         if (!std::is_sorted(addrs.begin(), addrs.end()))
             std::sort(addrs.begin(), addrs.end());
@@ -91,17 +82,18 @@ vectorCost(const kdp::WorkGroupTrace &trace,
             // register splat.
             cycles += p.memIssue + hierarchyCost(addrs[0], core, l3, p);
         } else if (contiguous) {
-            // One wide access: touch each distinct line once.
+            // One wide access: touch each distinct line once, at the
+            // first address in it.  An address less than a line past
+            // the current line's start lies in that line.
             const std::uint64_t line = core.l1.lineSize();
             double worst = 0.0;
-            std::uint64_t prev_line = ~std::uint64_t{0};
-            for (std::uint64_t addr : addrs) {
-                const std::uint64_t ln = addr / line;
-                if (ln == prev_line)
+            std::uint64_t line_start = 0;
+            for (std::size_t k = 0; k < addrs.size(); ++k) {
+                if (k > 0 && addrs[k] - line_start < line)
                     continue;
-                prev_line = ln;
+                line_start = addrs[k] - addrs[k] % line;
                 worst = std::max(worst,
-                                 hierarchyCost(addr, core, l3, p));
+                                 hierarchyCost(addrs[k], core, l3, p));
             }
             cycles += p.memIssue + worst;
         } else {
@@ -115,12 +107,12 @@ vectorCost(const kdp::WorkGroupTrace &trace,
                                + p.gatherWidthFactor
                                      * static_cast<double>(w));
         }
-    }
+    });
 
     // Divergence: branch groups with mixed outcomes cost masking work
     // proportional to the SIMD width.
     std::uint64_t divergent = 0;
-    ops.forEachDivergent(trace.branches, w,
+    ops.forEachDivergent(trace, w,
                          [&](std::uint32_t) { ++divergent; });
     // Masking waste grows superlinearly with the SIMD width: the
     // number of divergent groups roughly halves when the width

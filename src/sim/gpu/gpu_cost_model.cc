@@ -1,6 +1,7 @@
 #include "gpu_cost_model.hh"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "sim/op_groups.hh"
@@ -21,65 +22,57 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
     thread_local struct
     {
         OpGroups ops;
-        std::vector<std::uint64_t> addrs;
         std::vector<double> warpThruput;
         std::vector<double> warpLatency;
     } scratch;
     OpGroups &ops = scratch.ops;
-    std::vector<std::uint64_t> &addrs = scratch.addrs;
     std::vector<double> &warp_thruput = scratch.warpThruput;
     std::vector<double> &warp_latency = scratch.warpLatency;
     warp_thruput.assign(num_warps, 0.0);
     warp_latency.assign(num_warps, 0.0);
 
     // Walk instructions in first-touch order for the caches.
-    ops.build(trace.accesses, w);
-    for (std::uint32_t key : ops.firstTouch()) {
-        const auto members = ops.members(key);
-        const auto &first = trace.accesses[members[0]];
-        const unsigned warp = first.lane / w;
+    ops.build(trace, w);
+    ops.forEachOp([&](std::uint32_t first, std::span<std::uint64_t> addrs,
+                      bool any_atomic) {
+        const auto &a = trace.accesses[first];
+        const unsigned warp = static_cast<unsigned>(a.lane / w);
+        const std::size_t members = addrs.size();
         // Each space below works on the op's sorted addresses; lanes
         // usually access in ascending order.
-        addrs.clear();
-        for (std::uint32_t m : members)
-            addrs.push_back(trace.accesses[m].addr);
         if (!std::is_sorted(addrs.begin(), addrs.end()))
             std::sort(addrs.begin(), addrs.end());
 
         double thruput = p.issueOp;
         double latency = 0.0;
-        // Distinct values of addr / @p unit over the sorted addresses,
-        // in ascending order, kept in place at the front of addrs.
-        auto distinctUnits = [&](std::uint64_t unit) {
-            if (unit > 1)
-                for (std::uint64_t &addr : addrs)
-                    addr /= unit;
-            addrs.erase(std::unique(addrs.begin(), addrs.end()),
-                        addrs.end());
+        // Start address of each distinct @p unit-aligned block the
+        // sorted addresses touch, ascending, kept in place at the front
+        // of addrs.  An address less than @p unit past the last start
+        // lies in the same block, so only a new block pays a division.
+        auto blockStarts = [&](std::uint64_t unit) {
+            std::size_t n = 0;
+            for (const std::uint64_t addr : addrs)
+                if (n == 0 || addr - addrs[n - 1] >= unit)
+                    addrs[n++] = addr - addr % unit;
+            return addrs.first(n);
         };
-        switch (first.space) {
+        switch (a.space) {
           case kdp::MemSpace::Global: {
-            bool any_atomic = false;
-            for (std::uint32_t m : members)
-                any_atomic |= trace.accesses[m].atomic;
-            distinctUnits(p.segmentBytes);
             bool all_hit = true;
-            for (std::uint64_t s : addrs) {
-                const bool hit = l2.access(s * p.segmentBytes);
+            for (std::uint64_t seg : blockStarts(p.segmentBytes)) {
+                const bool hit = l2.access(seg);
                 all_hit &= hit;
                 thruput += hit ? p.txHitCost : p.txCost;
             }
             latency += all_hit ? p.l2HitLatency : p.memLatency;
             if (any_atomic)
-                thruput += p.atomicPerLane
-                           * static_cast<double>(members.size());
+                thruput += p.atomicPerLane * static_cast<double>(members);
             break;
           }
           case kdp::MemSpace::Texture: {
-            distinctUnits(32);
             bool all_hit = true;
-            for (std::uint64_t s : addrs) {
-                const bool hit = sm.texCache.access(s * 32);
+            for (std::uint64_t seg : blockStarts(32)) {
+                const bool hit = sm.texCache.access(seg);
                 all_hit &= hit;
                 thruput += p.texHit;
                 if (!hit)
@@ -92,10 +85,9 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
           case kdp::MemSpace::Scratchpad: {
             // Bank conflicts: 32 four-byte banks; the op serializes
             // into as many rounds as the most contended bank.
-            distinctUnits(1);
             unsigned bank_count[32] = {};
             unsigned worst = 1;
-            for (std::uint64_t addr : addrs)
+            for (std::uint64_t addr : blockStarts(1))
                 worst = std::max(worst, ++bank_count[(addr / 4) % 32]);
             thruput += p.scratchAccess
                        + static_cast<double>(worst - 1)
@@ -103,16 +95,16 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
             break;
           }
           case kdp::MemSpace::Constant:
-            distinctUnits(1);
-            thruput += p.constCost * static_cast<double>(addrs.size());
+            thruput += p.constCost
+                       * static_cast<double>(blockStarts(1).size());
             break;
         }
         warp_thruput[warp] += thruput;
         warp_latency[warp] += latency;
-    }
+    });
 
     // Divergent branches serialize both sides.
-    ops.forEachDivergent(trace.branches, w, [&](std::uint32_t warp) {
+    ops.forEachDivergent(trace, w, [&](std::uint32_t warp) {
         warp_thruput[warp] += p.divergentBranch;
     });
 

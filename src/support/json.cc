@@ -244,7 +244,10 @@ Json::dump(int indent) const
 
 namespace {
 
-/** Recursive-descent JSON parser over a string. */
+/**
+ * Recursive-descent JSON parser over a string; nesting is bounded by
+ * Json::maxParseDepth.
+ */
 class Parser
 {
   public:
@@ -308,10 +311,14 @@ class Parser
     {
         skipWs();
         const char c = peek();
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            if (depth == Json::maxParseDepth)
+                fail("nesting too deep");
+            ++depth;
+            Json v = c == '{' ? object() : array();
+            --depth;
+            return v;
+        }
         if (c == '"')
             return Json(string());
         if (consume("true"))
@@ -455,6 +462,7 @@ class Parser
 
     const std::string &s;
     std::size_t pos = 0;
+    unsigned depth = 0; ///< arrays/objects open at pos
 };
 
 } // namespace

@@ -81,9 +81,13 @@ class Json
     /** Serialize; @p indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
 
+    /** Deepest array/object nesting parse() accepts. */
+    static constexpr unsigned maxParseDepth = 256;
+
     /**
      * Parse JSON text.  Throws std::runtime_error with a character
-     * offset on malformed input.
+     * offset on malformed input, including nesting deeper than
+     * maxParseDepth (so hostile input cannot overflow the stack).
      */
     static Json parse(const std::string &text);
 

@@ -1,10 +1,18 @@
 /**
  * @file
- * Unit and property tests for the set-associative cache model.
+ * Unit and property tests for the set-associative cache model,
+ * including a differential test against a frozen copy of the original
+ * timestamp-LRU implementation.
  */
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <vector>
+
 #include "sim/cache/cache.hh"
+#include "sim/cpu/cpu_device.hh"
+#include "sim/gpu/gpu_device.hh"
 
 using namespace dysel::sim;
 
@@ -115,4 +123,266 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CacheDeath, RejectsNonPowerOfTwoLine)
 {
     EXPECT_DEATH(Cache({1024, 2, 48}), "");
+}
+
+TEST(CacheDeath, RejectsOneByteLine)
+{
+    EXPECT_DEATH(Cache({1024, 2, 1}), "at least 2 bytes");
+}
+
+namespace oracle {
+
+/**
+ * The original cache: each way holds a tag, a valid flag and a
+ * last-use timestamp; a miss fills an invalid way if there is one and
+ * otherwise evicts the way with the oldest timestamp.
+ */
+class StampCache
+{
+  public:
+    explicit StampCache(const CacheConfig &cfg)
+        : line(cfg.lineBytes), numWays(cfg.ways)
+    {
+        lineShift = 0;
+        while ((1u << lineShift) < line)
+            ++lineShift;
+        sets = cfg.sizeBytes / (static_cast<std::uint64_t>(cfg.ways) * line);
+        if (sets == 0)
+            sets = 1;
+        waysStore.resize(sets * numWays);
+    }
+
+    bool
+    access(std::uint64_t addr)
+    {
+        ++nAccess;
+        ++tick;
+        const std::uint64_t set = (addr >> lineShift) & (sets - 1);
+        const std::uint64_t tag = addr >> lineShift;
+        Way *base = &waysStore[set * numWays];
+
+        Way *victim = base;
+        for (unsigned w = 0; w < numWays; ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == tag) {
+                way.lastUse = tick;
+                return true;
+            }
+            if (!way.valid) {
+                victim = &way;
+            } else if (victim->valid && way.lastUse < victim->lastUse) {
+                victim = &way;
+            }
+        }
+
+        ++nMiss;
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lastUse = tick;
+        return false;
+    }
+
+    bool
+    contains(std::uint64_t addr) const
+    {
+        const std::uint64_t set = (addr >> lineShift) & (sets - 1);
+        const std::uint64_t tag = addr >> lineShift;
+        const Way *base = &waysStore[set * numWays];
+        for (unsigned w = 0; w < numWays; ++w)
+            if (base[w].valid && base[w].tag == tag)
+                return true;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &w : waysStore)
+            w = Way{};
+    }
+
+    void
+    resetStats()
+    {
+        nAccess = 0;
+        nMiss = 0;
+    }
+
+    std::uint64_t accesses() const { return nAccess; }
+    std::uint64_t misses() const { return nMiss; }
+    std::uint64_t numSets() const { return sets; }
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = ~std::uint64_t{0};
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    unsigned line;
+    unsigned lineShift;
+    std::uint64_t sets;
+    unsigned numWays;
+    std::vector<Way> waysStore;
+    std::uint64_t tick = 0;
+    std::uint64_t nAccess = 0;
+    std::uint64_t nMiss = 0;
+};
+
+} // namespace oracle
+
+namespace {
+
+/** A named cache geometry. */
+struct Geometry
+{
+    const char *name;
+    CacheConfig cfg;
+};
+
+/** Every geometry the simulated devices use, plus the degenerate ones. */
+std::vector<Geometry>
+repoGeometries()
+{
+    const CpuConfig cpu;
+    const GpuConfig gpu;
+    return {
+        {"cpu-l1", cpu.l1},
+        {"cpu-l2", cpu.l2},
+        {"cpu-l3", cpu.l3},
+        {"gpu-l2", gpu.l2},
+        {"gpu-tex", gpu.tex},
+        {"one-set", {512, 8, 64}},
+        {"one-way", {4096, 1, 64}},
+    };
+}
+
+/**
+ * Next address of a seeded stream that mixes set-conflict storms,
+ * uniform traffic over twice the capacity, short sequential runs and
+ * re-references of recent addresses.
+ */
+class AddressStream
+{
+  public:
+    AddressStream(const CacheConfig &cfg, std::uint64_t sets,
+                  std::uint64_t seed)
+        : cfg(cfg), sets(sets), rng(seed)
+    {}
+
+    std::uint64_t
+    next()
+    {
+        std::uint64_t addr = 0;
+        switch (rng() % 4) {
+          case 0: {
+            // A few sets, twice as many tags per set as there are ways.
+            const std::uint64_t set = rng() % std::min<std::uint64_t>(sets, 4);
+            const std::uint64_t tag = rng() % (2 * cfg.ways + 1);
+            addr = (tag * sets + set) * cfg.lineBytes + rng() % cfg.lineBytes;
+            break;
+          }
+          case 1:
+            addr = rng() % (2 * cfg.sizeBytes);
+            break;
+          case 2:
+            cursor += 1 + rng() % 24;
+            addr = cursor;
+            break;
+          case 3:
+            addr = recent.empty() ? rng() % cfg.sizeBytes
+                                  : recent[rng() % recent.size()];
+            break;
+        }
+        recent.push_back(addr);
+        if (recent.size() > 64)
+            recent.pop_front();
+        return addr;
+    }
+
+    std::mt19937_64 &random() { return rng; }
+
+  private:
+    CacheConfig cfg;
+    std::uint64_t sets;
+    std::mt19937_64 rng;
+    std::uint64_t cursor = 0;
+    std::deque<std::uint64_t> recent;
+};
+
+} // namespace
+
+TEST(CacheOracle, MatchesTimestampLruOnEveryGeometry)
+{
+    for (const Geometry &g : repoGeometries()) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(std::string(g.name) + " seed "
+                         + std::to_string(seed));
+            Cache got(g.cfg);
+            oracle::StampCache want(g.cfg);
+            ASSERT_EQ(got.numSets(), want.numSets());
+            AddressStream stream(g.cfg, want.numSets(), seed);
+            std::mt19937_64 &rng = stream.random();
+            for (unsigned i = 0; i < 60000; ++i) {
+                const std::uint64_t addr = stream.next();
+                ASSERT_EQ(got.access(addr), want.access(addr))
+                    << "access " << i << " addr " << addr;
+                if (rng() % 8 == 0) {
+                    const std::uint64_t probe = stream.next();
+                    ASSERT_EQ(got.contains(probe), want.contains(probe))
+                        << "probe " << probe;
+                }
+                const unsigned event = rng() % 20000;
+                if (event == 0) {
+                    got.flush();
+                    want.flush();
+                } else if (event == 1) {
+                    got.resetStats();
+                    want.resetStats();
+                }
+                if (i % 1000 == 0) {
+                    ASSERT_EQ(got.accesses(), want.accesses());
+                    ASSERT_EQ(got.misses(), want.misses());
+                }
+            }
+            EXPECT_EQ(got.accesses(), want.accesses());
+            EXPECT_EQ(got.misses(), want.misses());
+            EXPECT_GT(want.misses(), 0u);
+            EXPECT_LT(want.misses(), want.accesses());
+        }
+    }
+}
+
+TEST(CacheOracle, FlushAndResetStatsMatch)
+{
+    // Deterministic edges: a flush empties every way (the next access
+    // to a resident line misses), a stat reset keeps the contents.
+    for (const Geometry &g : repoGeometries()) {
+        SCOPED_TRACE(g.name);
+        Cache got(g.cfg);
+        oracle::StampCache want(g.cfg);
+        AddressStream stream(g.cfg, want.numSets(), 9);
+        std::vector<std::uint64_t> seen;
+        for (unsigned i = 0; i < 4000; ++i) {
+            seen.push_back(stream.next());
+            ASSERT_EQ(got.access(seen.back()), want.access(seen.back()));
+        }
+        got.resetStats();
+        want.resetStats();
+        for (std::uint64_t addr : seen)
+            ASSERT_EQ(got.contains(addr), want.contains(addr));
+        for (std::uint64_t addr : seen)
+            ASSERT_EQ(got.access(addr), want.access(addr));
+        EXPECT_EQ(got.accesses(), want.accesses());
+        EXPECT_EQ(got.misses(), want.misses());
+        got.flush();
+        want.flush();
+        for (std::uint64_t addr : seen)
+            ASSERT_FALSE(got.contains(addr));
+        for (std::uint64_t addr : seen)
+            ASSERT_EQ(got.access(addr), want.access(addr));
+        EXPECT_EQ(got.accesses(), want.accesses());
+        EXPECT_EQ(got.misses(), want.misses());
+    }
 }

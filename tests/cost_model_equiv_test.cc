@@ -103,6 +103,13 @@ struct OpKeyHash
     }
 };
 
+OpKey
+keyOf(const kdp::MemAccess &a, unsigned w)
+{
+    return {static_cast<std::uint32_t>(a.lane / w),
+            static_cast<std::uint32_t>(a.seq)};
+}
+
 double
 hierarchyCost(std::uint64_t addr, CpuCoreState &core, Cache &l3,
               const CpuCostParams &p)
@@ -141,7 +148,7 @@ vectorCost(const kdp::WorkGroupTrace &trace,
     ops.reserve(trace.accesses.size() / w + 1);
     for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
         const auto &a = trace.accesses[i];
-        ops[{a.lane / w, a.seq}].push_back(i);
+        ops[keyOf(a, w)].push_back(i);
     }
 
     std::vector<bool> emitted(trace.accesses.size(), false);
@@ -151,7 +158,7 @@ vectorCost(const kdp::WorkGroupTrace &trace,
         if (emitted[i])
             continue;
         const auto &a = trace.accesses[i];
-        const auto &members = ops[{a.lane / w, a.seq}];
+        const auto &members = ops[keyOf(a, w)];
         addrs.clear();
         for (std::uint32_t m : members) {
             emitted[m] = true;
@@ -240,7 +247,7 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
     ops.reserve(trace.accesses.size() / w + 1);
     for (std::uint32_t i = 0; i < trace.accesses.size(); ++i) {
         const auto &a = trace.accesses[i];
-        ops[{a.lane / w, a.seq}].push_back(i);
+        ops[keyOf(a, w)].push_back(i);
     }
 
     std::vector<double> warp_thruput(num_warps, 0.0);
@@ -253,7 +260,7 @@ gpuWorkGroupCost(const kdp::WorkGroupTrace &trace,
             continue;
         const auto &first = trace.accesses[i];
         const unsigned warp = first.lane / w;
-        const auto &members = ops[{warp, first.seq}];
+        const auto &members = ops[keyOf(first, w)];
 
         double thruput = p.issueOp;
         double latency = 0.0;
@@ -531,16 +538,26 @@ randomTrace(std::uint32_t lanes, bool fused, Buffers &b,
     return t;
 }
 
-/** Trace with @p lanes work-items that only records branches. */
+/**
+ * Trace with @p lanes work-items that only records branches; lanes
+ * skip some, and with @p fused a second member records through a
+ * rebased context.
+ */
 kdp::WorkGroupTrace
-branchOnlyTrace(std::uint32_t lanes, std::mt19937_64 &rng)
+branchOnlyTrace(std::uint32_t lanes, std::mt19937_64 &rng,
+                bool fused = false)
 {
     kdp::WorkGroupTrace t;
     t.reset(lanes);
     kdp::GroupCtx g(0, lanes, 1, &t);
-    for (unsigned k = 0; k < 5; ++k)
-        for (std::uint32_t lane = 0; lane < lanes; ++lane)
-            g.branch(lane, rng() % 3 == 0);
+    for (unsigned m = 0; m < (fused ? 2u : 1u); ++m) {
+        kdp::GroupCtx member = m == 0 ? g : g.rebased(m);
+        const unsigned rounds = 1 + rng() % 6;
+        for (unsigned k = 0; k < rounds; ++k)
+            for (std::uint32_t lane = 0; lane < lanes; ++lane)
+                if (rng() % 5 != 0)
+                    member.branch(lane, rng() % 3 == 0);
+    }
     return t;
 }
 
@@ -643,7 +660,7 @@ TEST_P(CpuCostModelEquiv, MatchesHashMapReplayBitForBit)
 
 INSTANTIATE_TEST_SUITE_P(
     WidthsAndGroups, CpuCostModelEquiv,
-    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u, 16u),
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 6u, 8u, 16u),
                        ::testing::Values(16u, 37u, 64u)));
 
 class GpuCostModelEquiv : public ::testing::TestWithParam<std::uint32_t>
@@ -683,20 +700,157 @@ TEST_P(GpuCostModelEquiv, MatchesHashMapReplayBitForBit)
 INSTANTIATE_TEST_SUITE_P(GroupSizes, GpuCostModelEquiv,
                          ::testing::Values(32u, 48u, 256u));
 
+TEST(CostModelEquiv, BranchOnlyTracesMatch)
+{
+    std::mt19937_64 rng(5);
+    CpuConfig ccfg;
+    GpuConfig gcfg;
+    for (std::uint32_t lanes : {16u, 37u, 48u, 256u}) {
+        std::vector<kdp::WorkGroupTrace> traces;
+        for (unsigned i = 0; i < 8; ++i)
+            traces.push_back(branchOnlyTrace(lanes, rng, i % 2 == 1));
+        for (unsigned width : {2u, 3u, 6u, 8u, 16u}) {
+            CpuCoreState core(ccfg.l1, ccfg.l2), ref_core(ccfg.l1, ccfg.l2);
+            Cache l3(ccfg.l3), ref_l3(ccfg.l3);
+            kdp::VariantTraits traits;
+            traits.vectorWidth = width;
+            for (const auto &t : traces)
+                ASSERT_EQ(bits(cpuWorkGroupCycles(t, traits, core, l3,
+                                                  ccfg.cost)),
+                          bits(oracle::cpuWorkGroupCycles(
+                              t, traits, ref_core, ref_l3, ccfg.cost)))
+                    << lanes << " lanes, width " << width;
+        }
+        GpuSmState sm(gcfg.tex), ref_sm(gcfg.tex);
+        Cache l2(gcfg.l2), ref_l2(gcfg.l2);
+        for (const auto &t : traces) {
+            const GpuWgCost got = gpuWorkGroupCost(t, {}, lanes, sm, l2,
+                                                   gcfg.cost);
+            const GpuWgCost want = oracle::gpuWorkGroupCost(
+                t, {}, lanes, ref_sm, ref_l2, gcfg.cost);
+            ASSERT_EQ(bits(got.throughputCycles),
+                      bits(want.throughputCycles)) << lanes << " lanes";
+            ASSERT_EQ(bits(got.latencyCycles), bits(want.latencyCycles))
+                << lanes << " lanes";
+        }
+    }
+}
+
+TEST(CostModelEquiv, HandBuiltTraceMatches)
+{
+    // A trace assembled without GroupCtx: ops with members out of
+    // lane order, mixed widths, an atomic in the middle of an op, a
+    // lane group that only branches, and rows set as GroupCtx would.
+    kdp::WorkGroupTrace t;
+    t.reset(6);
+    using kdp::MemAccess;
+    using kdp::MemSpace;
+    t.accesses = {
+        MemAccess{0x1008, 1, 0, 4, MemSpace::Global, false, false},
+        MemAccess{0x1004, 0, 0, 4, MemSpace::Global, false, false},
+        MemAccess{0x100c, 2, 0, 4, MemSpace::Global, true, true},
+        MemAccess{0x2000, 0, 1, 8, MemSpace::Texture, false, false},
+        MemAccess{0x2000, 2, 1, 8, MemSpace::Texture, false, false},
+        MemAccess{0x3000, 1, 1, 16, MemSpace::Constant, false, false},
+        MemAccess{0x0008'0000'0000'0040, 0, 2, 4, MemSpace::Scratchpad,
+                  true, false},
+        MemAccess{0x0008'0000'0000'00c0, 1, 2, 4, MemSpace::Scratchpad,
+                  false, false},
+    };
+    t.laneAccessRows = {3, 3, 2, 0, 0, 0};
+    t.branches = {{4, 0, true}, {5, 0, false}, {4, 1, true},
+                  {0, 0, false}, {1, 0, false}};
+    t.laneBranchRows = {1, 1, 0, 0, 2, 1};
+    t.laneFlops = {3, 1, 4, 1, 5, 9};
+    t.barriers = 1;
+
+    CpuConfig ccfg = smallCpu();
+    for (unsigned width : {2u, 3u, 6u}) {
+        CpuCoreState core(ccfg.l1, ccfg.l2), ref_core(ccfg.l1, ccfg.l2);
+        Cache l3(ccfg.l3), ref_l3(ccfg.l3);
+        kdp::VariantTraits traits;
+        traits.vectorWidth = width;
+        for (int rep = 0; rep < 2; ++rep)
+            ASSERT_EQ(bits(cpuWorkGroupCycles(t, traits, core, l3,
+                                              ccfg.cost)),
+                      bits(oracle::cpuWorkGroupCycles(t, traits, ref_core,
+                                                      ref_l3, ccfg.cost)))
+                << "width " << width;
+    }
+    GpuConfig gcfg = smallGpu();
+    gcfg.cost.warpSize = 4;
+    GpuSmState sm(gcfg.tex), ref_sm(gcfg.tex);
+    Cache l2(gcfg.l2), ref_l2(gcfg.l2);
+    const GpuWgCost got = gpuWorkGroupCost(t, {}, 6, sm, l2, gcfg.cost);
+    const GpuWgCost want =
+        oracle::gpuWorkGroupCost(t, {}, 6, ref_sm, ref_l2, gcfg.cost);
+    EXPECT_EQ(bits(got.throughputCycles), bits(want.throughputCycles));
+    EXPECT_EQ(bits(got.latencyCycles), bits(want.latencyCycles));
+}
+
 TEST(CostModelEquivDeath, SparseSeqPanics)
 {
     // seq must count each lane's events densely; a gap means the op
     // table would outgrow the trace.
     kdp::WorkGroupTrace t;
     t.reset(4);
-    t.accesses.push_back({64, 0, 0, 4, kdp::MemSpace::Global, false, false});
-    t.accesses.push_back({68, 1, 5, 4, kdp::MemSpace::Global, false, false});
+    t.accesses.push_back(
+        kdp::MemAccess{64, 0, 0, 4, kdp::MemSpace::Global, false, false});
+    t.accesses.push_back(
+        kdp::MemAccess{68, 1, 5, 4, kdp::MemSpace::Global, false, false});
+    t.laneAccessRows = {1, 6, 0, 0};
     CpuConfig cfg;
     CpuCoreState core(cfg.l1, cfg.l2);
     Cache l3(cfg.l3);
     kdp::VariantTraits traits;
     traits.vectorWidth = 4;
     EXPECT_DEATH(cpuWorkGroupCycles(t, traits, core, l3, cfg.cost), "seq");
+}
+
+TEST(CostModelEquivDeath, SeqPastRecordedRowsPanics)
+{
+    // The rows say lane 1 made one access; an event with seq 1 lies
+    // past them.
+    kdp::WorkGroupTrace t;
+    t.reset(2);
+    t.accesses.push_back(
+        kdp::MemAccess{64, 0, 0, 4, kdp::MemSpace::Global, false, false});
+    t.accesses.push_back(
+        kdp::MemAccess{68, 1, 1, 4, kdp::MemSpace::Global, false, false});
+    t.laneAccessRows = {1, 1};
+    GpuConfig cfg;
+    GpuSmState sm(cfg.tex);
+    Cache l2(cfg.l2);
+    EXPECT_DEATH(gpuWorkGroupCost(t, {}, 2, sm, l2, cfg.cost), "seq");
+}
+
+TEST(CostModelEquivDeath, BranchPastRecordedRowsPanics)
+{
+    kdp::WorkGroupTrace t;
+    t.reset(4);
+    t.branches = {{0, 0, true}, {1, 2, false}};
+    t.laneBranchRows = {1, 1, 0, 0};
+    CpuConfig cfg;
+    CpuCoreState core(cfg.l1, cfg.l2);
+    Cache l3(cfg.l3);
+    kdp::VariantTraits traits;
+    traits.vectorWidth = 2;
+    EXPECT_DEATH(cpuWorkGroupCycles(t, traits, core, l3, cfg.cost), "seq");
+}
+
+TEST(CostModelEquivDeath, TraceWithoutRowsPanics)
+{
+    // Events whose lanes have no recorded rows at all.
+    kdp::WorkGroupTrace t;
+    t.accesses.push_back(
+        kdp::MemAccess{64, 0, 0, 4, kdp::MemSpace::Global, false, false});
+    CpuConfig cfg;
+    CpuCoreState core(cfg.l1, cfg.l2);
+    Cache l3(cfg.l3);
+    kdp::VariantTraits traits;
+    traits.vectorWidth = 4;
+    EXPECT_DEATH(cpuWorkGroupCycles(t, traits, core, l3, cfg.cost),
+                 "recorded lanes");
 }
 
 TEST(CostModelAllocs, WarmReplayDoesNotAllocate)

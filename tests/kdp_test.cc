@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "kdp/args.hh"
 #include "kdp/buffer.hh"
 #include "kdp/context.hh"
@@ -107,12 +111,17 @@ TEST(Trace, ResetClearsEverything)
 {
     WorkGroupTrace t;
     t.reset(4);
-    t.accesses.push_back({0, 0, 0, 4, MemSpace::Global, false, false});
+    t.accesses.push_back(MemAccess{0, 0, 0, 4, MemSpace::Global, false,
+                                   false});
     t.laneFlops[1] = 5;
+    t.laneAccessRows[0] = 1;
+    t.laneBranchRows[2] = 3;
     t.barriers = 2;
     t.reset(8);
     EXPECT_TRUE(t.accesses.empty());
     EXPECT_EQ(t.laneFlops.size(), 8u);
+    EXPECT_EQ(t.laneAccessRows, std::vector<std::uint32_t>(8, 0));
+    EXPECT_EQ(t.laneBranchRows, std::vector<std::uint32_t>(8, 0));
     EXPECT_EQ(t.totalFlops(), 0u);
     EXPECT_EQ(t.barriers, 0u);
 }
@@ -150,6 +159,87 @@ TEST(GroupCtx, PerLaneSequenceNumbers)
     EXPECT_EQ(t.accesses[1].seq, 1u);
     EXPECT_EQ(t.accesses[2].seq, 0u);
     EXPECT_EQ(t.accesses[2].lane, 1u);
+}
+
+TEST(Trace, MemAccessFieldsHoldTheirLimits)
+{
+    MemAccess a{~std::uint64_t{0}, maxGroupSize - 1, 0xffffffffu,
+                maxAccessBytes, MemSpace::Constant, true, true};
+    EXPECT_EQ(a.addr, ~std::uint64_t{0});
+    EXPECT_EQ(a.lane, maxGroupSize - 1);
+    EXPECT_EQ(a.seq, 0xffffffffu);
+    EXPECT_EQ(a.bytes, maxAccessBytes);
+    EXPECT_EQ(a.space, MemSpace::Constant);
+    EXPECT_TRUE(a.write);
+    EXPECT_TRUE(a.atomic);
+}
+
+TEST(GroupCtx, RecordsLaneRows)
+{
+    Buffer<float> buf(16, MemSpace::Global, "b");
+    WorkGroupTrace t;
+    t.reset(3);
+    GroupCtx g(0, 3, 1, &t);
+    g.load(buf, 0, 0);
+    g.load(buf, 1, 0);
+    g.store(buf, 2, 1.0f, 2);
+    g.branch(1, true);
+    g.branch(1, false);
+    g.branch(1, true);
+    EXPECT_EQ(t.laneAccessRows, (std::vector<std::uint32_t>{2, 0, 1}));
+    EXPECT_EQ(t.laneBranchRows, (std::vector<std::uint32_t>{0, 3, 0}));
+}
+
+TEST(GroupCtx, LaneRowsAreTheMaxAcrossRebasedContexts)
+{
+    // A fused launch records several members into one trace; each
+    // member's context restarts its per-lane counters at 0, so a
+    // lane's rows are the largest count any member reached.
+    Buffer<float> buf(16, MemSpace::Global, "b");
+    WorkGroupTrace t;
+    t.reset(2);
+    GroupCtx g(0, 2, 1, &t);
+    const std::uint32_t loads[3][2] = {{3, 1}, {1, 4}, {2, 0}};
+    const std::uint32_t branches[3][2] = {{0, 2}, {5, 1}, {1, 3}};
+    for (std::uint64_t m = 0; m < 3; ++m) {
+        GroupCtx member = m == 0 ? g : g.rebased(m);
+        for (std::uint32_t lane = 0; lane < 2; ++lane) {
+            for (std::uint32_t k = 0; k < loads[m][lane]; ++k)
+                member.load(buf, k, lane);
+            for (std::uint32_t k = 0; k < branches[m][lane]; ++k)
+                member.branch(lane, k % 2 == 0);
+        }
+    }
+    for (std::uint32_t lane = 0; lane < 2; ++lane) {
+        std::uint32_t access_rows = 0;
+        std::uint32_t branch_rows = 0;
+        for (const MemAccess &a : t.accesses)
+            if (a.lane == lane)
+                access_rows = std::max<std::uint32_t>(access_rows,
+                                                      a.seq + 1);
+        for (const BranchEvent &b : t.branches)
+            if (b.lane == lane)
+                branch_rows = std::max(branch_rows, b.seq + 1);
+        EXPECT_EQ(t.laneAccessRows[lane], access_rows) << lane;
+        EXPECT_EQ(t.laneBranchRows[lane], branch_rows) << lane;
+    }
+    EXPECT_EQ(t.laneAccessRows, (std::vector<std::uint32_t>{3, 4}));
+    EXPECT_EQ(t.laneBranchRows, (std::vector<std::uint32_t>{5, 3}));
+}
+
+TEST(GroupCtx, LargestGroupAndWidthAreRecordedExactly)
+{
+    Buffer<std::uint8_t> buf(maxAccessBytes + 1, MemSpace::Global, "b");
+    WorkGroupTrace t;
+    t.reset(maxGroupSize);
+    GroupCtx g(0, maxGroupSize, 1, &t);
+    std::vector<std::uint8_t> out(maxAccessBytes);
+    g.loadSpan(buf, 1, maxAccessBytes, maxGroupSize - 1, out.data());
+    ASSERT_EQ(t.accesses.size(), 1u);
+    EXPECT_EQ(t.accesses[0].lane, maxGroupSize - 1);
+    EXPECT_EQ(t.accesses[0].bytes, maxAccessBytes);
+    EXPECT_EQ(t.accesses[0].addr, buf.addrOf(1));
+    EXPECT_EQ(t.laneAccessRows[maxGroupSize - 1], 1u);
 }
 
 TEST(GroupCtx, AtomicAddReturnsOldAndFlags)
@@ -218,6 +308,23 @@ TEST(GroupCtxDeath, LaneOutOfRange)
     t.reset(2);
     GroupCtx g(0, 2, 1, &t);
     EXPECT_DEATH(g.load(buf, 0, 2), "");
+}
+
+TEST(GroupCtxDeath, GroupTooLargeForLaneField)
+{
+    WorkGroupTrace t;
+    EXPECT_DEATH(GroupCtx(0, maxGroupSize + 1, 1, &t), "lane field");
+}
+
+TEST(GroupCtxDeath, LoadSpanTooWideForByteField)
+{
+    Buffer<float> buf(2048, MemSpace::Global, "b");
+    WorkGroupTrace t;
+    t.reset(1);
+    GroupCtx g(0, 1, 1, &t);
+    std::vector<float> out(1024);
+    // 1024 floats are 4096 bytes, one past the width field.
+    EXPECT_DEATH(g.loadSpan(buf, 0, 1024, 0, out.data()), "width field");
 }
 
 TEST(GroupCtxDeath, ScratchOutOfBounds)

@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "dysel/fed/delta.hh"
+#include "dysel/fed/replicator.hh"
 #include "dysel/store/selection_store.hh"
+#include "support/metrics.hh"
+#include "support/net/http.hh"
 
 using namespace dysel;
 using namespace dysel::store;
@@ -1181,4 +1184,46 @@ TEST(SelectionStore, BlacklistDemotesPredictedRecords)
         EXPECT_EQ(r.signature, "k");
         EXPECT_TRUE(r.predicted);
     }
+}
+
+TEST(SelectionStore, DeeplyNestedFileIsDataLossNotACrash)
+{
+    // 200 KB of '[' used to overflow the parser's stack.
+    const std::string path = "store_test.nested.store.json";
+    spit(path, std::string(200 * 1024, '['));
+    SelectionStore loaded;
+    loaded.recordProfile(kDev, profiledReport("existing", 512));
+    const auto st = loaded.loadFile(path);
+    EXPECT_EQ(st.code(), support::StatusCode::DataLoss);
+    EXPECT_NE(st.message().find("nesting too deep"), std::string::npos);
+    EXPECT_EQ(loaded.size(), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(FedDelta, DeeplyNestedPeerBodyIsRejected)
+{
+    // A peer whose /fed/delta answer is 200 KB of '[': the pull must
+    // count an invalid delta and leave the store alone, not crash.
+    namespace net = support::net;
+    net::HttpServer peer;
+    ASSERT_TRUE(peer.start(0, [](const net::HttpRequest &) {
+                        net::HttpResponse out;
+                        out.contentType = "application/json";
+                        out.body = std::string(200 * 1024, '[');
+                        return out;
+                    })
+                    .ok());
+    SelectionStore store;
+    fed::ReplicatorConfig cfg;
+    cfg.fleetSize = 2;
+    cfg.peers.push_back("127.0.0.1:" + std::to_string(peer.port()));
+    fed::Replicator rep(store, cfg);
+    support::MetricsRegistry reg;
+    rep.bindMetrics(&reg);
+    rep.syncNow();
+    EXPECT_EQ(reg.counter("fed.delta_invalid").value(), 1u);
+    EXPECT_EQ(reg.counter("fed.apply_record").value(), 0u);
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_NE(rep.peersJson().dump(0).find("nesting too deep"),
+              std::string::npos);
 }

@@ -245,6 +245,39 @@ TEST(Json, ParseErrorsCarryOffsets)
     }
 }
 
+TEST(Json, NestingDepthIsBounded)
+{
+    // Nesting up to the limit parses; one level more is a parse error.
+    const unsigned max = Json::maxParseDepth;
+    const std::string ok =
+        std::string(max, '[') + std::string(max, ']');
+    EXPECT_EQ(Json::parse(ok).items().size(), 1u);
+    std::string objects;
+    for (unsigned i = 0; i < max; ++i)
+        objects += "{\"k\":";
+    objects += "0" + std::string(max, '}');
+    EXPECT_TRUE(Json::parse(objects).isObject());
+    EXPECT_THROW(Json::parse("[" + ok + "]"), std::runtime_error);
+    EXPECT_THROW(Json::parse("{\"k\":" + objects + "}"),
+                 std::runtime_error);
+
+    // 200 KB of '[' used to recurse until the stack overflowed.
+    try {
+        Json::parse(std::string(200 * 1024, '['));
+        FAIL() << "expected a parse error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                  std::string::npos);
+    }
+    EXPECT_THROW(Json::parse(std::string(200 * 1024, '{')),
+                 std::runtime_error);
+    // Mixed nesting counts both kinds.
+    std::string mixed;
+    for (unsigned i = 0; i <= max; ++i)
+        mixed += i % 2 ? "{\"k\":" : "[";
+    EXPECT_THROW(Json::parse(mixed), std::runtime_error);
+}
+
 TEST(Metrics, CountersAccumulateAcrossThreads)
 {
     MetricsRegistry reg;
