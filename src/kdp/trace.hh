@@ -25,8 +25,9 @@ namespace kdp {
  * packed 64-bit word, 16 bytes in all.
  *
  * @c seq counts each lane's accesses densely from 0 (GroupCtx keeps
- * one counter per lane; a fused launch hands each member a fresh
- * context, so the counters restart per member).  Either way a lane's
+ * one counter per lane in WorkGroupTrace::laneSeq; a fused launch
+ * hands each member a fresh context, so the counters restart per
+ * member).  Either way a lane's
  * largest seq is below its access count, and the trace records
  * max(seq) + 1 per lane in WorkGroupTrace::laneAccessRows, so the
  * timing models' op table never outgrows the trace.  sim/op_groups.hh
@@ -120,6 +121,19 @@ struct WorkGroupTrace
 
     /** Bytes of scratchpad allocated by the group. */
     std::uint64_t scratchBytes = 0;
+
+    /**
+     * @name Recording scratch, not part of the recording
+     * Storage GroupCtx borrows so that building a context does not
+     * allocate once the trace is warm: the per-lane access and branch
+     * counters (zero-filled by each new context) and the scratchpad
+     * arena's bytes.  Only the newest context over a trace may record.
+     */
+    /// @{
+    std::vector<std::uint32_t> laneSeq;
+    std::vector<std::uint32_t> laneBranchSeq;
+    std::vector<char> scratch;
+    /// @}
 
     /** Clear all recordings and size lane arrays for @p group_size. */
     void reset(std::uint32_t group_size);

@@ -18,6 +18,7 @@ CpuDevice::CpuDevice(const CpuConfig &cfg)
     cores.reserve(cfg.cores);
     for (unsigned i = 0; i < cfg.cores; ++i)
         cores.emplace_back(cfg);
+    events.attach(*this);
 }
 
 std::string
@@ -36,41 +37,57 @@ CpuDevice::fingerprint() const
 void
 CpuDevice::submit(Launch launch)
 {
-    auto al = std::make_shared<ActiveLaunch>();
-    al->launch = std::move(launch);
-    al->stats.submitTime = now();
-    if (al->launch.numGroups == 0)
+    if (launch.numGroups == 0)
         support::panic("CpuDevice::submit with zero work-groups");
-    switch (checkLaunchFault(al->launch)) {
+    double time_scale = 1.0;
+    switch (checkLaunchFault(launch)) {
       case FaultKind::LaunchFail:
         // The launch is dropped after its submission overhead; the
         // runtime observes the aborting fault after run().
-        events.scheduleAfter(config.launchOverheadNs, [] {});
+        events.postAfter(config.launchOverheadNs, EventKind::Nop);
         return;
       case FaultKind::Hang:
-        events.scheduleAfter(
+        events.postAfter(
             config.launchOverheadNs + faults->config().hangStallNs,
-            [] {});
+            EventKind::Nop);
         return;
       case FaultKind::LatencySpike:
-        al->timeScale = faults->config().latencySpikeFactor;
+        time_scale = faults->config().latencySpikeFactor;
         break;
       default:
         break;
     }
-    if (checkVariantFault(al->launch) == VariantFaultKind::KernelHang) {
+    if (checkVariantFault(launch) == VariantFaultKind::KernelHang) {
         // The variant never finishes; the slice is dropped after the
         // watchdog stall.  The device is not wedged and no aborting
         // fault is raised -- the guard notices the missing completion.
-        events.scheduleAfter(
+        events.postAfter(
             config.launchOverheadNs + faults->config().variantHangStallNs,
-            [] {});
+            EventKind::Nop);
         return;
     }
-    events.scheduleAfter(config.launchOverheadNs, [this, al] {
-        queue.add(al);
+    const std::uint32_t slot = queue.acquire(std::move(launch));
+    ActiveLaunch &al = queue[slot];
+    al.stats.submitTime = now();
+    al.timeScale = time_scale;
+    events.postAfter(config.launchOverheadNs, EventKind::LaunchArrive, slot);
+}
+
+void
+CpuDevice::fire(EventKind kind, std::uint32_t unit)
+{
+    if (kind == EventKind::LaunchArrive) {
+        queue.add(unit);
         kick();
-    });
+        return;
+    }
+    // GroupDone.  Mark the core idle before the callbacks run; a
+    // finishing launch may unblock its stream for every idle core, so
+    // a full kick() (not just this core) is required.
+    Core &core = cores[unit];
+    core.busy = false;
+    queue[core.launch].groupDone(core.start, core.dur, now());
+    kick();
 }
 
 void
@@ -85,44 +102,25 @@ void
 CpuDevice::startNext(unsigned idx)
 {
     Core &core = cores[idx];
-    LaunchPtr al = queue.pick();
-    if (!al) {
+    const std::uint32_t slot = queue.pick();
+    if (slot == DispatchQueue::none) {
         core.busy = false;
         return;
     }
-
-    const std::uint64_t issue = al->nextGroup++;
-    const std::uint64_t grid = al->gridId(issue);
+    ActiveLaunch &al = queue[slot];
+    const TimeNs start = now();
+    const std::uint64_t grid = al.issue(start);
     core.busy = true;
 
-    const TimeNs start = now();
-    TimeNs dur = runGroup(core, *al, grid) + config.taskOverheadNs;
-    if (al->timeScale != 1.0)
-        dur = static_cast<TimeNs>(static_cast<double>(dur)
-                                  * al->timeScale);
+    TimeNs dur = runGroup(core, al, grid) + config.taskOverheadNs;
+    if (al.timeScale != 1.0)
+        dur = static_cast<TimeNs>(static_cast<double>(dur) * al.timeScale);
     dur = addNoise(dur);
 
-    if (al->done == 0 && issue == 0) {
-        al->stats.firstStamp = start;
-    } else {
-        al->stats.firstStamp = std::min(al->stats.firstStamp, start);
-    }
-
-    events.scheduleAfter(dur, [this, idx, al, dur, start] {
-        // Mark the core idle before the callbacks run; a finishing
-        // launch may unblock its stream for every idle core, so a
-        // full kick() (not just this core) is required.
-        cores[idx].busy = false;
-        al->done++;
-        al->stats.groups++;
-        al->stats.busyTime += dur;
-        al->stats.lastStamp = std::max(al->stats.lastStamp, now());
-        if (al->launch.onGroupStamp)
-            al->launch.onGroupStamp(start, now());
-        if (al->finished() && al->launch.onComplete)
-            al->launch.onComplete(al->stats);
-        kick();
-    });
+    core.launch = slot;
+    core.start = start;
+    core.dur = dur;
+    events.postAfter(dur, EventKind::GroupDone, idx);
 }
 
 TimeNs

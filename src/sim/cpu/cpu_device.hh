@@ -11,7 +11,6 @@
  */
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,7 +55,7 @@ struct CpuConfig
 /**
  * The CPU device simulator.
  */
-class CpuDevice : public Device
+class CpuDevice : public Device, private EventSink
 {
   public:
     explicit CpuDevice(const CpuConfig &cfg = CpuConfig());
@@ -87,11 +86,20 @@ class CpuDevice : public Device
     {
         CpuCoreState caches;
         bool busy = false;
+        /** @name The in-flight task, valid while busy. */
+        /// @{
+        std::uint32_t launch = DispatchQueue::none;
+        TimeNs start = 0;
+        TimeNs dur = 0;
+        /// @}
 
         explicit Core(const CpuConfig &cfg)
             : caches(cfg.l1, cfg.l2)
         {}
     };
+
+    /** LaunchArrive (unit = launch slot) and GroupDone (unit = core). */
+    void fire(EventKind kind, std::uint32_t unit) override;
 
     /** Give every idle core a task if one is available. */
     void kick();

@@ -13,13 +13,15 @@ namespace dysel {
 namespace sim {
 
 GpuDevice::GpuDevice(const GpuConfig &cfg)
-    : config(cfg), l2(cfg.l2), rng(cfg.seed)
+    : config(cfg), debugPlacement(std::getenv("DYSEL_GPU_DEBUG") != nullptr),
+      l2(cfg.l2), rng(cfg.seed)
 {
     if (cfg.sms == 0)
         throw std::invalid_argument("GpuDevice needs at least one SM");
     sms.reserve(cfg.sms);
     for (unsigned i = 0; i < cfg.sms; ++i)
         sms.emplace_back(cfg.tex);
+    events.attach(*this);
 }
 
 std::string
@@ -75,39 +77,60 @@ GpuDevice::occupancy(const kdp::KernelVariant &variant) const
 void
 GpuDevice::submit(Launch launch)
 {
-    auto al = std::make_shared<ActiveLaunch>();
-    al->launch = std::move(launch);
-    al->stats.submitTime = now();
-    if (al->launch.numGroups == 0)
+    if (launch.numGroups == 0)
         support::panic("GpuDevice::submit with zero work-groups");
-    switch (checkLaunchFault(al->launch)) {
+    double time_scale = 1.0;
+    switch (checkLaunchFault(launch)) {
       case FaultKind::LaunchFail:
-        events.scheduleAfter(config.launchOverheadNs, [] {});
+        events.postAfter(config.launchOverheadNs, EventKind::Nop);
         return;
       case FaultKind::Hang:
-        events.scheduleAfter(
+        events.postAfter(
             config.launchOverheadNs + faults->config().hangStallNs,
-            [] {});
+            EventKind::Nop);
         return;
       case FaultKind::LatencySpike:
-        al->timeScale = faults->config().latencySpikeFactor;
+        time_scale = faults->config().latencySpikeFactor;
         break;
       default:
         break;
     }
-    if (checkVariantFault(al->launch) == VariantFaultKind::KernelHang) {
+    if (checkVariantFault(launch) == VariantFaultKind::KernelHang) {
         // The variant never finishes; the slice is dropped after the
         // watchdog stall.  The device is not wedged and no aborting
         // fault is raised -- the guard notices the missing completion.
-        events.scheduleAfter(
+        events.postAfter(
             config.launchOverheadNs + faults->config().variantHangStallNs,
-            [] {});
+            EventKind::Nop);
         return;
     }
-    events.scheduleAfter(config.launchOverheadNs, [this, al] {
-        queue.add(al);
+    const std::uint32_t slot = queue.acquire(std::move(launch));
+    ActiveLaunch &al = queue[slot];
+    al.stats.submitTime = now();
+    al.timeScale = time_scale;
+    events.postAfter(config.launchOverheadNs, EventKind::LaunchArrive, slot);
+}
+
+void
+GpuDevice::fire(EventKind kind, std::uint32_t unit)
+{
+    if (kind == EventKind::LaunchArrive) {
+        queue.add(unit);
         kick();
-    });
+        return;
+    }
+    // GroupDone: free the block's SM slot, then account the group.
+    const Block blk = blocks[unit];
+    freeBlocks.push_back(unit);
+    Sm &host_sm = sms[blk.sm];
+    host_sm.blocks--;
+    host_sm.threadsUsed -= blk.fp.threads;
+    host_sm.scratchUsed -= blk.fp.scratch;
+    host_sm.regsUsed -= blk.fp.regs;
+    --residentBlocks;
+
+    queue[blk.launch].groupDone(blk.start, blk.dur, now());
+    kick();
 }
 
 void
@@ -118,23 +141,24 @@ GpuDevice::kick()
     // An exclusive launch waits for an empty device, then owns it
     // until it fully drains.
     while (true) {
-        LaunchPtr al;
-        if (exclusiveOwner && !exclusiveOwner->finished()) {
-            if (exclusiveOwner->allIssued())
+        std::uint32_t slot;
+        if (exclusiveOwner != DispatchQueue::none
+            && !queue[exclusiveOwner].finished()) {
+            if (queue[exclusiveOwner].allIssued())
                 return; // draining; nothing else may start
-            al = exclusiveOwner;
+            slot = exclusiveOwner;
         } else {
-            exclusiveOwner = nullptr;
-            al = queue.pick();
-            if (!al)
+            exclusiveOwner = DispatchQueue::none;
+            slot = queue.pick();
+            if (slot == DispatchQueue::none)
                 return;
-            if (al->launch.exclusive) {
+            if (queue[slot].launch.exclusive) {
                 if (residentBlocks > 0)
                     return; // wait for the device to empty
-                exclusiveOwner = al;
+                exclusiveOwner = slot;
             }
         }
-        const Footprint fp = footprintOf(*al->launch.variant);
+        const Footprint fp = footprintOf(*queue[slot].launch.variant);
         // Least-loaded SM that fits.
         int best = -1;
         for (unsigned i = 0; i < sms.size(); ++i) {
@@ -145,15 +169,16 @@ GpuDevice::kick()
         }
         if (best < 0)
             return;
-        place(static_cast<unsigned>(best), al);
+        place(static_cast<unsigned>(best), slot);
     }
 }
 
 void
-GpuDevice::place(unsigned idx, const LaunchPtr &al)
+GpuDevice::place(unsigned idx, std::uint32_t slot)
 {
     Sm &sm = sms[idx];
-    const kdp::KernelVariant &variant = *al->launch.variant;
+    ActiveLaunch &al = queue[slot];
+    const kdp::KernelVariant &variant = *al.launch.variant;
     const Footprint fp = footprintOf(variant);
 
     sm.blocks++;
@@ -161,15 +186,13 @@ GpuDevice::place(unsigned idx, const LaunchPtr &al)
     sm.scratchUsed += fp.scratch;
     sm.regsUsed += fp.regs;
     ++residentBlocks;
-    if (al->launch.exclusive)
-        ++residentExclusive;
 
-    const std::uint64_t issue = al->nextGroup++;
-    const std::uint64_t grid = al->gridId(issue);
+    const TimeNs start = now();
+    const std::uint64_t grid = al.issue(start);
 
     traceBuf.reset(variant.groupSize);
     kdp::GroupCtx ctx(grid, variant.groupSize, variant.waFactor, &traceBuf);
-    variant.fn(ctx, al->launch.args);
+    variant.fn(ctx, al.launch.args);
     ++nGroups;
 
     const GpuWgCost cost = gpuWorkGroupCost(traceBuf, variant.traits,
@@ -184,7 +207,7 @@ GpuDevice::place(unsigned idx, const LaunchPtr &al)
     const double resident = static_cast<double>(sm.blocks);
     const double cycles = cost.throughputCycles * resident
                           + cost.latencyCycles / resident;
-    if (std::getenv("DYSEL_GPU_DEBUG")) {
+    if (debugPlacement) {
         std::fprintf(stderr,
                      "[gpu] t=%llu %s grid=%llu r=%.0f T=%.0fcy L=%.0fcy "
                      "dur=%.0fus\n",
@@ -194,38 +217,20 @@ GpuDevice::place(unsigned idx, const LaunchPtr &al)
                      cycles / config.ghz / 1000.0);
     }
     TimeNs dur = cyclesToNs(cycles, config.ghz);
-    if (al->timeScale != 1.0)
-        dur = static_cast<TimeNs>(static_cast<double>(dur)
-                                  * al->timeScale);
+    if (al.timeScale != 1.0)
+        dur = static_cast<TimeNs>(static_cast<double>(dur) * al.timeScale);
     dur = addNoise(dur);
 
-    const TimeNs start = now();
-    if (issue == 0) {
-        al->stats.firstStamp = start;
+    std::uint32_t b;
+    if (freeBlocks.empty()) {
+        b = static_cast<std::uint32_t>(blocks.size());
+        blocks.emplace_back();
     } else {
-        al->stats.firstStamp = std::min(al->stats.firstStamp, start);
+        b = freeBlocks.back();
+        freeBlocks.pop_back();
     }
-
-    events.scheduleAfter(dur, [this, idx, al, fp, dur, start] {
-        Sm &host_sm = sms[idx];
-        host_sm.blocks--;
-        host_sm.threadsUsed -= fp.threads;
-        host_sm.scratchUsed -= fp.scratch;
-        host_sm.regsUsed -= fp.regs;
-        --residentBlocks;
-        if (al->launch.exclusive)
-            --residentExclusive;
-
-        al->done++;
-        al->stats.groups++;
-        al->stats.busyTime += dur;
-        al->stats.lastStamp = std::max(al->stats.lastStamp, now());
-        if (al->launch.onGroupStamp)
-            al->launch.onGroupStamp(start, now());
-        if (al->finished() && al->launch.onComplete)
-            al->launch.onComplete(al->stats);
-        kick();
-    });
+    blocks[b] = Block{slot, idx, start, dur, fp};
+    events.postAfter(dur, EventKind::GroupDone, b);
 }
 
 TimeNs

@@ -16,7 +16,6 @@
  */
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,7 +59,7 @@ struct GpuConfig
 /**
  * The GPU device simulator.
  */
-class GpuDevice : public Device
+class GpuDevice : public Device, private EventSink
 {
   public:
     explicit GpuDevice(const GpuConfig &cfg = GpuConfig());
@@ -109,24 +108,41 @@ class GpuDevice : public Device
         std::uint64_t regs;
     };
 
+    /** A resident block: one SM slot, named by its GroupDone event. */
+    struct Block
+    {
+        std::uint32_t launch = DispatchQueue::none;
+        unsigned sm = 0;
+        TimeNs start = 0;
+        TimeNs dur = 0;
+        Footprint fp{};
+    };
+
     Footprint footprintOf(const kdp::KernelVariant &variant) const;
     bool fits(const Sm &sm, const Footprint &fp) const;
+
+    /** LaunchArrive (unit = launch slot) and GroupDone (unit = block). */
+    void fire(EventKind kind, std::uint32_t unit) override;
 
     /** Place pending work-groups onto SMs until nothing fits. */
     void kick();
 
-    /** Run one work-group on SM @p idx. */
-    void place(unsigned idx, const LaunchPtr &al);
+    /** Run one work-group of launch @p slot on SM @p idx. */
+    void place(unsigned idx, std::uint32_t slot);
 
     TimeNs addNoise(TimeNs d);
 
     GpuConfig config;
+    /** Print every placed block to stderr (DYSEL_GPU_DEBUG set). */
+    const bool debugPlacement;
     std::vector<Sm> sms;
+    /** Resident-block slots, recycled through freeBlocks. */
+    std::vector<Block> blocks;
+    std::vector<std::uint32_t> freeBlocks;
     Cache l2;
     DispatchQueue queue;
     std::uint64_t residentBlocks = 0;
-    std::uint64_t residentExclusive = 0;
-    LaunchPtr exclusiveOwner;
+    std::uint32_t exclusiveOwner = DispatchQueue::none;
     kdp::WorkGroupTrace traceBuf;
     support::Rng rng;
     std::uint64_t nGroups = 0;

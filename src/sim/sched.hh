@@ -6,14 +6,17 @@
  * ordering (a launch may not start until every earlier launch in its
  * stream has fully completed); across streams, execution units pick
  * the highest-priority dispatchable launch, FIFO within a priority.
+ *
+ * Launches live in a slot table and are named by slot index, so the
+ * per-work-group path handles plain integers: no reference counting,
+ * no node-based containers.
  */
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
+#include <vector>
 
 #include "launch.hh"
 #include "time.hh"
@@ -26,7 +29,6 @@ struct ActiveLaunch
 {
     Launch launch;
     LaunchStats stats;
-    std::uint64_t submitSeq = 0;  ///< global FIFO order
     std::uint64_t nextGroup = 0;  ///< next group index to issue
     std::uint64_t done = 0;       ///< completed groups
     /** Work-group duration multiplier (injected latency spike). */
@@ -40,83 +42,166 @@ struct ActiveLaunch
     {
         return launch.firstGroup + i;
     }
+
+    /** Issue the next work-group, starting at @p start; its grid id. */
+    std::uint64_t
+    issue(TimeNs start)
+    {
+        const std::uint64_t i = nextGroup++;
+        stats.firstStamp =
+            i == 0 ? start : std::min(stats.firstStamp, start);
+        return gridId(i);
+    }
+
+    /**
+     * Account a work-group that ran over [@p start, @p end], busy for
+     * @p dur, then fire the launch's per-group and completion hooks.
+     */
+    void
+    groupDone(TimeNs start, TimeNs dur, TimeNs end)
+    {
+        done++;
+        stats.groups++;
+        stats.busyTime += dur;
+        stats.lastStamp = std::max(stats.lastStamp, end);
+        if (launch.onGroupStamp)
+            launch.onGroupStamp(start, end);
+        if (finished() && launch.onComplete)
+            launch.onComplete(stats);
+    }
 };
 
-using LaunchPtr = std::shared_ptr<ActiveLaunch>;
-
 /**
- * Priority/stream-aware dispatch queue.
+ * Priority/stream-aware dispatch queue over a slot table of launches.
  */
 class DispatchQueue
 {
   public:
-    /** Register a submitted launch. */
-    void
-    add(const LaunchPtr &lp)
+    /** "No launch" slot index. */
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    /**
+     * Take a slot for @p launch, not yet dispatchable (add() makes it
+     * so).  The slot holds until the launch finishes and pick()
+     * retires it.
+     */
+    std::uint32_t
+    acquire(Launch launch)
     {
-        lp->submitSeq = nextSeq++;
-        streams[lp->launch.stream].push_back(lp);
+        std::uint32_t slot;
+        if (freeSlots.empty()) {
+            slot = static_cast<std::uint32_t>(slots.size());
+            slots.emplace_back(); // a deque: live references stay valid
+        } else {
+            slot = freeSlots.back();
+            freeSlots.pop_back();
+        }
+        slots[slot].launch = std::move(launch);
+        return slot;
+    }
+
+    /** The launch in @p slot. */
+    ActiveLaunch &operator[](std::uint32_t slot) { return slots[slot]; }
+
+    /** Make the launch in @p slot dispatchable, behind its stream. */
+    void
+    add(std::uint32_t slot)
+    {
+        const int id = slots[slot].launch.stream;
+        auto it = std::lower_bound(
+            streams.begin(), streams.end(), id,
+            [](const Stream &s, int key) { return s.id < key; });
+        if (it == streams.end() || it->id != id)
+            it = streams.insert(it, Stream{id, 0, {}, 0});
+        it->fifo.push_back(slot);
     }
 
     /**
      * Pick the launch the next free execution unit should draw a
-     * work-group from, or nullptr when nothing is dispatchable.
+     * work-group from, or none when nothing is dispatchable.
      * Equal-priority streams are served round-robin, which is how
      * concurrent CUDA streams interleave blocks; without it the
      * first-registered variant would be profiled at systematically
-     * lower SM residency than the others.
+     * lower SM residency than the others.  Streams never served tie
+     * by ascending id.
      */
-    LaunchPtr
+    std::uint32_t
     pick()
     {
-        LaunchPtr best;
-        int best_stream = 0;
-        for (auto &[stream, queue] : streams) {
+        Stream *best = nullptr;
+        const ActiveLaunch *bestLaunch = nullptr;
+        for (Stream &s : streams) {
             // Retire completed launches from the stream head so the
             // next launch in the stream becomes dispatchable.
-            while (!queue.empty() && queue.front()->finished())
-                queue.pop_front();
-            if (queue.empty())
+            while (s.head < s.fifo.size()
+                   && slots[s.fifo[s.head]].finished())
+                retireHead(s);
+            if (s.head == s.fifo.size())
                 continue;
-            const LaunchPtr &head = queue.front();
-            if (head->allIssued())
+            const ActiveLaunch &head = slots[s.fifo[s.head]];
+            if (head.allIssued())
                 continue;
-            if (!best
-                || head->launch.priority > best->launch.priority
-                || (head->launch.priority == best->launch.priority
-                    && servedTick[stream] < servedTick[best_stream])) {
-                best = head;
-                best_stream = stream;
+            if (!best || head.launch.priority > bestLaunch->launch.priority
+                || (head.launch.priority == bestLaunch->launch.priority
+                    && s.served < best->served)) {
+                best = &s;
+                bestLaunch = &head;
             }
         }
-        if (best)
-            servedTick[best_stream] = ++tick;
-        return best;
+        if (!best)
+            return none;
+        best->served = ++tick;
+        return best->fifo[best->head];
     }
 
     /**
      * True when no launch has unissued groups, i.e. pick() would
-     * return nullptr.  A pure query: it neither retires launches nor
+     * return none.  A pure query: it neither retires launches nor
      * advances the round-robin.
      */
     bool
     drained() const
     {
-        for (const auto &[stream, queue] : streams) {
+        for (const Stream &s : streams) {
             // The stream head is its first unfinished launch.
             auto head = std::find_if(
-                queue.begin(), queue.end(),
-                [](const LaunchPtr &lp) { return !lp->finished(); });
-            if (head != queue.end() && !(*head)->allIssued())
+                s.fifo.begin() + s.head, s.fifo.end(),
+                [this](std::uint32_t l) { return !slots[l].finished(); });
+            if (head != s.fifo.end() && !slots[*head].allIssued())
                 return false;
         }
         return true;
     }
 
   private:
-    std::map<int, std::deque<LaunchPtr>> streams;
-    std::map<int, std::uint64_t> servedTick;
-    std::uint64_t nextSeq = 0;
+    /** One stream's launches in submission order, from fifo[head]. */
+    struct Stream
+    {
+        int id;
+        std::uint64_t served = 0; ///< tick of the last pick; 0 = never
+        std::vector<std::uint32_t> fifo;
+        std::size_t head = 0;
+    };
+
+    /** Free the finished head launch of @p s and its slot. */
+    void
+    retireHead(Stream &s)
+    {
+        const std::uint32_t slot = s.fifo[s.head++];
+        slots[slot] = ActiveLaunch(); // drop the launch's args/closures
+        freeSlots.push_back(slot);
+        // Compact once the retired prefix is most of the fifo, so a
+        // stream that never empties does not grow without bound.
+        if (s.head * 2 >= s.fifo.size()) {
+            s.fifo.erase(s.fifo.begin(),
+                         s.fifo.begin() + static_cast<long>(s.head));
+            s.head = 0;
+        }
+    }
+
+    std::deque<ActiveLaunch> slots;
+    std::vector<std::uint32_t> freeSlots;
+    std::vector<Stream> streams; ///< sorted by id
     std::uint64_t tick = 0;
 };
 

@@ -12,11 +12,6 @@
  * registerKernelPool() before and after start(), and JobSpec /
  * submitMany().
  */
-// The replaced global operator new below is malloc-backed; GCC pairs
-// it against the library operator delete at inlined call sites and
-// warns spuriously -- the replacement covers both sides.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
 #include <gtest/gtest.h>
 
 #include <array>
@@ -34,63 +29,10 @@
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 
+#include "alloc_hook.hh"
+
 using namespace dysel;
 using namespace dysel::serve;
-
-// ---- operator-new hook ----------------------------------------------
-//
-// Counts heap allocations on threads that opted in.  The zero-alloc
-// test enables counting around its measured submit window only, so
-// gtest internals and the worker threads stay invisible.
-
-namespace {
-thread_local bool tlCountAllocs = false;
-thread_local std::uint64_t tlAllocCount = 0;
-} // namespace
-
-void *
-operator new(std::size_t sz)
-{
-    if (tlCountAllocs)
-        ++tlAllocCount;
-    if (void *p = std::malloc(sz ? sz : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t sz)
-{
-    if (tlCountAllocs)
-        ++tlAllocCount;
-    if (void *p = std::malloc(sz ? sz : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -800,12 +742,10 @@ TEST(BatchAlloc, SteadyStateSubmitIsAllocationFree)
     svc.drain();
 
     const BufferPool::Stats before = svc.poolStats(0);
-    tlAllocCount = 0;
-    tlCountAllocs = true;
-    for (int it = 0; it < kMeasuredIters; ++it)
-        oneIteration();
-    tlCountAllocs = false;
-    const std::uint64_t submitterAllocs = tlAllocCount;
+    const std::uint64_t submitterAllocs = test::allocationsOf([&] {
+        for (int it = 0; it < kMeasuredIters; ++it)
+            oneIteration();
+    });
     svc.drain();
     const BufferPool::Stats after = svc.poolStats(0);
 

@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the CPU device simulator: execution correctness, task
- * scheduling (priorities, streams, parallelism), and cost-model
- * properties (locality, vectorization, scratchpad lowering).
+ * scheduling (priorities, streams, parallelism), cost-model
+ * properties (locality, vectorization, scratchpad lowering), and the
+ * allocation-free per-work-group path.
  */
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "dysel/runtime.hh"
 #include "kdp/context.hh"
 #include "sim/cpu/cpu_cost_model.hh"
 #include "sim/cpu/cpu_device.hh"
+
+#include "alloc_hook.hh"
 
 using namespace dysel;
 using namespace dysel::sim;
@@ -362,4 +368,62 @@ TEST(CpuCostModel, SoftwarePrefetchIsPureOverheadOnCpu)
     kdp::VariantTraits plain, prefetch;
     prefetch.softwarePrefetch = true;
     EXPECT_GT(costOf(t, prefetch), costOf(t, plain));
+}
+
+/**
+ * On a warm device, the per-work-group path allocates nothing: a
+ * packed fused launch (8 member groups, so 9 contexts, per physical
+ * group) of 4096 physical groups makes exactly as many heap
+ * allocations as one of 64.  Only per-launch set-up may allocate.
+ */
+TEST(CpuDeviceAlloc, PackedFusedLaunchAllocatesPerLaunchNotPerGroup)
+{
+    constexpr std::uint32_t kGroupSize = 8;
+    constexpr std::uint64_t kPack = 8; // groupSize / waFactor
+    CpuDevice dev;
+    runtime::Runtime rt(dev);
+    kdp::KernelVariant v;
+    v.name = "unit-stamp";
+    v.groupSize = kGroupSize;
+    v.waFactor = 1;
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
+        auto &out = args.buf<std::uint32_t>(0);
+        const std::uint64_t unit = g.unitBase();
+        if (unit < out.size())
+            g.store(out, unit, static_cast<std::uint32_t>(unit + 1), 0);
+        kdp::forEachItem(g, [](kdp::ItemCtx &item) { item.flops(3); });
+    };
+    ASSERT_TRUE(rt.tryAddKernel("stamp", std::move(v)).ok());
+
+    // Two members per launch; each member's units are its groups.
+    constexpr std::uint64_t kSmall = 64 * kPack / 2;
+    constexpr std::uint64_t kLarge = 4096 * kPack / 2;
+    kdp::Buffer<std::uint32_t> a(kLarge, kdp::MemSpace::Global, "a");
+    kdp::Buffer<std::uint32_t> b(kLarge, kdp::MemSpace::Global, "b");
+    kdp::KernelArgs args_a, args_b;
+    args_a.add(a);
+    args_b.add(b);
+    auto fused = [&](std::uint64_t units) {
+        const runtime::FusedSlice slices[] = {{&args_a, units, 0},
+                                              {&args_b, units, 0}};
+        runtime::LaunchReport report;
+        ASSERT_TRUE(rt.launchFused("stamp", 0, std::span(slices),
+                                   runtime::LaunchOptions(), report)
+                        .ok());
+        ASSERT_TRUE(report.fused);
+    };
+
+    fused(kLarge); // warm-up: traces, slot tables and heaps at size
+    fused(kSmall);
+    const std::uint64_t groups0 = dev.groupsExecuted();
+    const std::uint64_t small = test::allocationsOf([&] { fused(kSmall); });
+    const std::uint64_t large = test::allocationsOf([&] { fused(kLarge); });
+    EXPECT_EQ(dev.groupsExecuted() - groups0, 64u + 4096u);
+    EXPECT_EQ(large, small)
+        << "the per-group path allocated: " << small << " allocations for "
+        << "64 groups, " << large << " for 4096";
+    for (std::uint64_t i = 0; i < kLarge; ++i) {
+        ASSERT_EQ(a.at(i), i + 1) << i;
+        ASSERT_EQ(b.at(i), i + 1) << i;
+    }
 }

@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the GPU device simulator: occupancy, exclusive profiling
- * launches, and cost-model properties (coalescing, divergence,
- * texture path, bank conflicts, lock-step ALU).
+ * launches, cost-model properties (coalescing, divergence, texture
+ * path, bank conflicts, lock-step ALU), and the allocation-free
+ * per-work-group path.
  */
 #include <gtest/gtest.h>
 
 #include "kdp/context.hh"
 #include "sim/gpu/gpu_cost_model.hh"
 #include "sim/gpu/gpu_device.hh"
+
+#include "alloc_hook.hh"
 
 using namespace dysel;
 using namespace dysel::sim;
@@ -318,4 +321,61 @@ TEST(GpuCostModel, PrefetchReducesLatencyComponent)
               costOf(t, 32, plain).latencyCycles);
     EXPECT_DOUBLE_EQ(costOf(t, 32, prefetch).throughputCycles,
                      costOf(t, 32, plain).throughputCycles);
+}
+
+/**
+ * On a warm device, the per-work-group path allocates nothing, for a
+ * kernel staging through Local scratch too: a launch of 4096 groups
+ * makes exactly as many heap allocations as one of 64.
+ */
+TEST(GpuDeviceAlloc, LocalScratchLaunchAllocatesPerLaunchNotPerGroup)
+{
+    constexpr std::uint32_t kGroupSize = 32;
+    GpuDevice dev;
+    kdp::KernelVariant v;
+    v.name = "local-reverse";
+    v.groupSize = kGroupSize;
+    v.traits.scratchBytes = kGroupSize * sizeof(float);
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
+        auto &out = args.buf<float>(0);
+        auto tile = g.allocLocal<float>(g.groupSize());
+        // Every slot reads zero before this group writes it.
+        float seen = 0;
+        kdp::forEachItem(g, [&](kdp::ItemCtx &item) {
+            seen += item.localGet(tile, item.localId());
+            item.localSet(tile, item.localId(),
+                          static_cast<float>(item.globalId()));
+        });
+        g.barrier();
+        kdp::forEachItem(g, [&](kdp::ItemCtx &item) {
+            const std::uint32_t peer = g.groupSize() - 1 - item.localId();
+            item.store(out, item.globalId(),
+                       item.localGet(tile, peer) + seen);
+        });
+    };
+
+    kdp::Buffer<float> out(4096 * kGroupSize, kdp::MemSpace::Global,
+                           "out");
+    auto launch = [&](std::uint64_t groups) {
+        Launch l;
+        l.variant = &v;
+        l.args.add(out);
+        l.numGroups = groups;
+        dev.submit(std::move(l));
+        dev.run();
+    };
+
+    launch(4096); // warm-up: traces, slot tables and heaps at size
+    launch(64);
+    const std::uint64_t small = test::allocationsOf([&] { launch(64); });
+    const std::uint64_t large = test::allocationsOf([&] { launch(4096); });
+    EXPECT_EQ(large, small)
+        << "the per-group path allocated: " << small << " allocations for "
+        << "64 groups, " << large << " for 4096";
+    for (std::uint64_t grp = 0; grp < 4096; ++grp)
+        for (std::uint32_t lane = 0; lane < kGroupSize; ++lane)
+            ASSERT_EQ(out.at(grp * kGroupSize + lane),
+                      static_cast<float>(grp * kGroupSize + kGroupSize - 1
+                                         - lane))
+                << grp << "/" << lane;
 }

@@ -301,6 +301,60 @@ TEST(GroupCtx, ScratchpadAllocationAndAccess)
     EXPECT_EQ(t.barriers, 1u);
 }
 
+TEST(GroupCtx, RebasedContextRestartsLaneSeqsAtZero)
+{
+    Buffer<float> buf(16, MemSpace::Global, "b");
+    WorkGroupTrace t;
+    t.reset(2);
+    GroupCtx g(4, 2, 3, &t);
+    g.load(buf, 0, 0);
+    g.load(buf, 1, 0);
+    g.branch(1, true);
+    GroupCtx member = g.rebased(9);
+    EXPECT_EQ(member.group(), 9u);
+    EXPECT_EQ(member.unitBase(), 27u);
+    member.load(buf, 2, 0);
+    member.load(buf, 3, 1);
+    member.branch(1, false);
+    ASSERT_EQ(t.accesses.size(), 4u);
+    EXPECT_EQ(t.accesses[2].seq, 0u); // lane 0 restarts
+    EXPECT_EQ(t.accesses[3].seq, 0u);
+    ASSERT_EQ(t.branches.size(), 2u);
+    EXPECT_EQ(t.branches[1].seq, 0u);
+    // Rows keep the largest count any context reached.
+    EXPECT_EQ(t.laneAccessRows, (std::vector<std::uint32_t>{2, 1}));
+    EXPECT_EQ(t.laneBranchRows, (std::vector<std::uint32_t>{0, 1}));
+}
+
+TEST(GroupCtx, LocalScratchReadsZeroOnEachNewGroup)
+{
+    // One trace reused across groups, as the devices do: every group
+    // (and every rebased member within one) sees zero-filled scratch,
+    // whatever the previous one left behind.
+    WorkGroupTrace t;
+    for (std::uint64_t group = 0; group < 3; ++group) {
+        t.reset(2);
+        GroupCtx g(group, 2, 1, &t);
+        for (std::uint64_t m = 0; m < 2; ++m) {
+            GroupCtx member = g.rebased(group * 2 + m);
+            auto small = member.allocLocal<std::int32_t>(4);
+            auto big = member.allocLocal<double>(8 + group);
+            EXPECT_EQ(member.scratchBytes(),
+                      4 * sizeof(std::int32_t)
+                          + (8 + group) * sizeof(double));
+            EXPECT_EQ(t.scratchBytes, member.scratchBytes());
+            for (std::uint64_t i = 0; i < small.size(); ++i) {
+                EXPECT_EQ(small.get(member, i, 0), 0) << group << m << i;
+                small.set(member, i, -1, 1);
+            }
+            for (std::uint64_t i = 0; i < big.size(); ++i) {
+                EXPECT_EQ(big.get(member, i, 1), 0.0) << group << m << i;
+                big.set(member, i, 3.5, 0);
+            }
+        }
+    }
+}
+
 TEST(GroupCtxDeath, LaneOutOfRange)
 {
     Buffer<float> buf(4, MemSpace::Global, "b");
