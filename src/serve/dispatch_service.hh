@@ -495,8 +495,10 @@ class DispatchService
      * exactly-once callback and drop it from the system. */
     void finishCancelled(unsigned idx, detail::QueuedJob &&qj);
 
-    /** Deliver @p res to the handle and the done callback. */
-    static void finishJob(detail::QueuedJob &qj, JobResult res);
+    /** Deliver @p res to the done callback and the handle, returning
+     * @p qj's shell to @p pool before the handle reports Done. */
+    static void finishJob(BufferPool &pool, detail::QueuedJob &&qj,
+                          JobResult res);
 
     /** Apply registerKernelPool() installers this worker has not yet
      * run (worker thread; cheap relaxed check when up to date). */
