@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -341,6 +342,49 @@ TEST(DispatchService, HandleWaitsAndExposesResult)
     EXPECT_FALSE(empty.done());
     EXPECT_FALSE(empty.cancel());
     EXPECT_THROW(empty.result(), std::logic_error);
+}
+
+TEST(DispatchService, DiscardedHandleJobNeverLeaksIntoANewSubmit)
+{
+    // A fire-and-forget job leaves only the worker and the pool
+    // referencing its completion block.  A submit racing that job's
+    // completion must get a block the worker no longer writes:
+    // otherwise the old job's result lands in the new job's handle,
+    // and the new job, no longer Queued, never runs.
+    ServiceFixture f(1);
+    Probe warmup("k", 256);
+    f.svc.submit(makeJob(warmup, f.mu));
+    f.svc.drain();
+
+    constexpr int rounds = 3000;
+    int wrong = 0;
+    for (int i = 0; i < rounds && wrong == 0; ++i) {
+        Probe a("k", 256);
+        Probe b("k", 256);
+        std::atomic<bool> aDone{false};
+        Job ja = makeJob(a, f.mu);
+        ja.done = [&aDone](const JobResult &) {
+            aDone.store(true, std::memory_order_release);
+        };
+        Job jb = makeJob(b, f.mu);
+        f.svc.submit(std::move(ja)); // handle discarded
+        while (!aDone.load(std::memory_order_acquire)) {
+        }
+        JobHandle hb = f.svc.submit(std::move(jb));
+        const JobResult &r = hb.result();
+        const bool sameId = r.id == hb.id();
+        const bool ran = r.ok();
+        // Both jobs finish before their probes go out of scope.
+        f.svc.drain();
+        if (!sameId || !ran || !b.finished || !b.result.ok()) {
+            ++wrong;
+            ADD_FAILURE() << "round " << i << ": handle " << hb.id()
+                          << " got result of job " << r.id << " ("
+                          << r.status.toString() << "); callback "
+                          << b.result.status.toString();
+        }
+    }
+    EXPECT_EQ(wrong, 0);
 }
 
 TEST(DispatchService, CancelPendingJobBeforeDispatch)
