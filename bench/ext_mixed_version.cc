@@ -39,11 +39,14 @@ main()
     w_mix.registerWith(rt);
     w_mix.resetOutput();
     const sim::TimeNs mix_start = device->now();
-    const runtime::MixedReport mixed = runtime::launchKernelMixed(
-        rt, w_mix.signature, w_mix.units, w_mix.args, 8);
+    runtime::MixedReport mixed;
+    runtime::tryLaunchKernelMixed(rt, w_mix.signature, w_mix.units,
+                                  w_mix.args, 8, mixed)
+        .throwIfError();
     for (unsigned it = 1; it < w_mix.iterations; ++it)
-        runtime::launchKernelMixedCached(rt, w_mix.signature,
-                                         w_mix.units, w_mix.args, mixed);
+        runtime::tryLaunchKernelMixedCached(rt, w_mix.signature,
+                                            w_mix.units, w_mix.args, mixed)
+            .throwIfError();
     const sim::TimeNs mixed_elapsed = device->now() - mix_start;
 
     support::Table table({"configuration", "time (ms)",

@@ -30,13 +30,13 @@ tryLaunchKernelMixed(Runtime &rt, const std::string &signature,
     const auto *variantsp = rt.findVariants(signature);
     if (!variantsp)
         return support::Status::notFound(
-            "launchKernelMixed: unknown kernel signature '" + signature
+            "tryLaunchKernelMixed: unknown kernel signature '" + signature
             + "'");
     const auto &variants = *variantsp;
     const auto num_variants = variants.size();
     if (num_variants == 0)
         return support::Status::failedPrecondition(
-            "launchKernelMixed(" + signature
+            "tryLaunchKernelMixed(" + signature
             + "): no variants registered");
     if (segments == 0)
         segments = 1;
@@ -65,7 +65,7 @@ tryLaunchKernelMixed(Runtime &rt, const std::string &signature,
         }
         if (segments == 1)
             return support::Status::failedPrecondition(
-                "launchKernelMixed(" + signature
+                "tryLaunchKernelMixed(" + signature
                 + "): workload too small to profile even one segment");
         segments /= 2;
     }
@@ -158,18 +158,6 @@ tryLaunchKernelMixed(Runtime &rt, const std::string &signature,
     return support::Status();
 }
 
-MixedReport
-launchKernelMixed(Runtime &rt, const std::string &signature,
-                  std::uint64_t total_units, const kdp::KernelArgs &args,
-                  unsigned segments)
-{
-    MixedReport report;
-    tryLaunchKernelMixed(rt, signature, total_units, args, segments,
-                         report)
-        .throwIfError();
-    return report;
-}
-
 support::Status
 tryLaunchKernelMixedCached(Runtime &rt, const std::string &signature,
                            std::uint64_t total_units,
@@ -179,18 +167,18 @@ tryLaunchKernelMixedCached(Runtime &rt, const std::string &signature,
     const auto *variantsp = rt.findVariants(signature);
     if (!variantsp)
         return support::Status::notFound(
-            "launchKernelMixedCached: unknown kernel signature '"
+            "tryLaunchKernelMixedCached: unknown kernel signature '"
             + signature + "'");
     const auto &variants = *variantsp;
     if (selection.signature != signature
         || selection.totalUnits != total_units)
         return support::Status::invalidArgument(
-            "launchKernelMixedCached(" + signature
+            "tryLaunchKernelMixedCached(" + signature
             + "): selection does not match this workload");
     for (const int v : selection.segmentSelection)
         if (v < 0 || v >= static_cast<int>(variants.size()))
             return support::Status::invalidArgument(
-                "launchKernelMixedCached(" + signature
+                "tryLaunchKernelMixedCached(" + signature
                 + "): selected variant " + std::to_string(v)
                 + " outside the registered pool");
     sim::Device &dev = rt.device();
@@ -218,17 +206,6 @@ tryLaunchKernelMixedCached(Runtime &rt, const std::string &signature,
     }
     dev.run();
     return support::Status();
-}
-
-void
-launchKernelMixedCached(Runtime &rt, const std::string &signature,
-                        std::uint64_t total_units,
-                        const kdp::KernelArgs &args,
-                        const MixedReport &selection)
-{
-    tryLaunchKernelMixedCached(rt, signature, total_units, args,
-                               selection)
-        .throwIfError();
 }
 
 } // namespace runtime

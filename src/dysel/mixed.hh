@@ -83,23 +83,13 @@ support::Status tryLaunchKernelMixed(Runtime &rt,
                                      MixedReport &report);
 
 /**
- * Throwing wrapper of tryLaunchKernelMixed: returns the report on
- * success, throws std::out_of_range for an unknown signature and
- * std::runtime_error otherwise.
- */
-MixedReport launchKernelMixed(Runtime &rt, const std::string &signature,
-                              std::uint64_t total_units,
-                              const kdp::KernelArgs &args,
-                              unsigned segments);
-
-/**
  * Re-execute a workload with a previously profiled per-segment
  * selection (the mixed-mode analogue of the profiling activation
  * flag): iterative solvers profile segments once and reuse the
  * partitioned selection for the remaining iterations; the fallible
  * entry point.
  *
- * @param selection a report from launchKernelMixed on the same
+ * @param selection a report from tryLaunchKernelMixed on the same
  *                  signature and workload size
  *
  * Failure codes:
@@ -113,15 +103,6 @@ support::Status tryLaunchKernelMixedCached(Runtime &rt,
                                            std::uint64_t total_units,
                                            const kdp::KernelArgs &args,
                                            const MixedReport &selection);
-
-/**
- * Throwing wrapper of tryLaunchKernelMixedCached (std::out_of_range /
- * std::invalid_argument).
- */
-void launchKernelMixedCached(Runtime &rt, const std::string &signature,
-                             std::uint64_t total_units,
-                             const kdp::KernelArgs &args,
-                             const MixedReport &selection);
 
 } // namespace runtime
 } // namespace dysel

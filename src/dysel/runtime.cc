@@ -74,17 +74,6 @@ Runtime::variantCount(const std::string &signature) const
     return it == pool.end() ? 0 : it->second.variants.size();
 }
 
-const std::vector<kdp::KernelVariant> &
-Runtime::variants(const std::string &signature) const
-{
-    const std::vector<kdp::KernelVariant> *v = findVariants(signature);
-    if (!v)
-        support::Status::notFound(
-            "DySel: unknown kernel signature '" + signature + "'")
-            .throwIfError();
-    return *v;
-}
-
 const std::vector<kdp::KernelVariant> *
 Runtime::findVariants(const std::string &signature) const noexcept
 {
@@ -169,12 +158,6 @@ Runtime::tryImportSelection(const std::string &signature, int variant)
             + "' is blacklisted for '" + signature + "'");
     selectionCache[signature] = variant;
     return support::Status();
-}
-
-void
-Runtime::importSelection(const std::string &signature, int variant)
-{
-    tryImportSelection(signature, variant).throwIfError();
 }
 
 std::map<std::string, int>

@@ -139,14 +139,6 @@ class Runtime
     std::size_t variantCount(const std::string &signature) const;
 
     /**
-     * The registered variants of @p signature; the throwing wrapper
-     * of findVariants() (an unknown signature surfaces as a NotFound
-     * support::Status, thrown as std::out_of_range).
-     */
-    const std::vector<kdp::KernelVariant> &
-    variants(const std::string &signature) const;
-
-    /**
      * The registered variants of @p signature, or nullptr for an
      * unknown signature (the non-throwing lookup).
      */
@@ -225,12 +217,6 @@ class Runtime
      */
     support::Status tryImportSelection(const std::string &signature,
                                        int variant);
-
-    /**
-     * Throwing wrapper of tryImportSelection (std::out_of_range /
-     * std::invalid_argument).
-     */
-    void importSelection(const std::string &signature, int variant);
 
     /** Snapshot of all cached selections (for export to a store). */
     std::map<std::string, int> exportSelections() const;

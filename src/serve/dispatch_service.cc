@@ -51,6 +51,35 @@ retryableCode(support::StatusCode code)
     }
 }
 
+/**
+ * Whether a failed attempt with @p code says something about the
+ * device's health (the breaker's input) -- an unknown signature, say,
+ * does not.
+ */
+bool
+isDeviceFault(support::StatusCode code)
+{
+    return code == support::StatusCode::Unavailable
+           || code == support::StatusCode::DeadlineExceeded;
+}
+
+/**
+ * Index of the variant named @p name in @p rt's pool for @p sig, or
+ * @p fallback when either is unknown.  Stored and predicted selections
+ * name their variant, so they survive re-registration of the pool.
+ */
+int
+variantIndex(const runtime::Runtime &rt, const std::string &sig,
+             const std::string &name, int fallback = -1)
+{
+    if (const auto *variants = rt.findVariants(sig)) {
+        for (std::size_t i = 0; i < variants->size(); ++i)
+            if ((*variants)[i].name == name)
+                return static_cast<int>(i);
+    }
+    return fallback;
+}
+
 std::uint64_t
 wallNowNs()
 {
@@ -85,6 +114,23 @@ copySpecInto(const JobSpec &spec, Job &dst)
 }
 
 const std::vector<unsigned> kNoExclusions;
+
+/**
+ * Publish a job's terminal @p res and Done, waking its waiters.  The
+ * caller's reference is dropped under the lock: another reference (the
+ * pool's, or the handle's) keeps the block alive, so the unlock is this
+ * thread's last touch, and a waiter that sees Done finds no reference
+ * of this thread's left on the block.
+ */
+void
+publishDone(std::shared_ptr<detail::JobState> state, JobResult res)
+{
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->result = std::move(res);
+    state->phase.store(detail::JobState::Done, std::memory_order_release);
+    state->cv.notify_all();
+    state.reset();
+}
 
 /**
  * The worker currently driving this thread, for observers that fire
@@ -318,16 +364,7 @@ DispatchService::addDevice(std::unique_ptr<sim::Device> device)
                 store_.recordProfile(fp, r, tlJobId);
                 reg.counter("store.record").inc();
             } else if (r.fromCache && !r.fused && !r.shadow) {
-                switch (store_.observePlain(fp, r)) {
-                  case store::Observation::Quarantined:
-                    reg.counter("store.quarantine").inc();
-                    break;
-                  case store::Observation::Invalidated:
-                    reg.counter("store.drift_invalidation").inc();
-                    break;
-                  case store::Observation::Ok:
-                    break;
-                }
+                noteObservation(store_.observePlain(fp, r), r.signature);
             }
             // Guard telemetry: one "guard.<check>" count per
             // detection, reconcilable 1:1 with the fault injector's
@@ -502,92 +539,48 @@ DispatchService::route(const std::string &signature,
                        const std::vector<unsigned> &excluded)
 {
     std::lock_guard<std::mutex> lock(routeMu);
-    const std::size_t n = workers.size();
+    unsigned affinity = UINT_MAX;
+    if (config.affinity) {
+        auto it = affinityMap.find(signature);
+        if (it != affinityMap.end())
+            affinity = it->second;
+    }
+    // One pass ranks each device into a tier -- 2: admissible, 1: not
+    // excluded but shedding behind an open breaker, 0: excluded -- and
+    // keeps the first least-loaded device of each tier.  The pool is
+    // the best non-empty tier: admissible devices, else the
+    // non-excluded ones, else (everything excluded) all devices.
     // An open breaker sheds load for breakerCooldown routing
     // decisions; once the cooldown is spent the device becomes
     // eligible for exactly one probe job (the cooldown is re-armed
     // when the probe is placed, and the breaker closes or reopens on
     // the probe's result).
-    auto admissible = [this](unsigned i) {
+    unsigned best[3] = {UINT_MAX, UINT_MAX, UINT_MAX};
+    std::uint64_t bestLoad[3] = {};
+    int top = 0;
+    int affinityTier = -1;
+    for (unsigned i = 0; i < workers.size(); ++i) {
         Worker &w = *workers[i];
-        if (!w.breakerOpen)
-            return true;
-        if (w.breakerCooldownLeft > 0) {
+        int tier = 2;
+        if (contains(excluded, i)) {
+            tier = 0;
+        } else if (w.breakerOpen && w.breakerCooldownLeft > 0) {
             w.breakerCooldownLeft--;
-            return false;
+            tier = 1;
         }
-        return true; // half-open: probe allowed
-    };
-
-    auto finish = [this](unsigned pick) {
-        if (workers[pick]->breakerOpen)
-            workers[pick]->breakerCooldownLeft = config.breakerCooldown;
-        return pick;
-    };
-
-    if (n <= 64) {
-        // Submission hot path: candidate tiers as bitmasks, no heap.
-        std::uint64_t admissibleMask = 0;
-        std::uint64_t nonExcludedMask = 0;
-        for (unsigned i = 0; i < n; ++i) {
-            if (contains(excluded, i))
-                continue;
-            nonExcludedMask |= std::uint64_t(1) << i;
-            if (admissible(i))
-                admissibleMask |= std::uint64_t(1) << i;
+        const std::uint64_t load = w.load.load(std::memory_order_relaxed);
+        if (best[tier] == UINT_MAX || load < bestLoad[tier]) {
+            best[tier] = i;
+            bestLoad[tier] = load;
         }
-        std::uint64_t pool =
-            admissibleMask ? admissibleMask : nonExcludedMask;
-        if (pool == 0) {
-            // Everything is excluded or shedding: all devices.
-            pool = n == 64 ? ~std::uint64_t(0)
-                           : (std::uint64_t(1) << n) - 1;
-        }
-        if (config.affinity) {
-            auto it = affinityMap.find(signature);
-            if (it != affinityMap.end()
-                && ((pool >> it->second) & 1) != 0)
-                return finish(it->second);
-        }
-        unsigned best = UINT_MAX;
-        for (unsigned i = 0; i < n; ++i) {
-            if (((pool >> i) & 1) == 0)
-                continue;
-            if (best == UINT_MAX
-                || workers[i]->load.load(std::memory_order_relaxed)
-                       < workers[best]->load.load(
-                           std::memory_order_relaxed))
-                best = i;
-        }
-        return finish(best);
+        if (i == affinity)
+            affinityTier = tier;
+        top = std::max(top, tier);
     }
-
-    // Large-fleet fallback (allocates; n > 64 is not the hot path).
-    std::vector<unsigned> pool;
-    for (unsigned i = 0; i < n; ++i)
-        if (!contains(excluded, i) && admissible(i))
-            pool.push_back(i);
-    if (pool.empty()) {
-        for (unsigned i = 0; i < n; ++i)
-            if (!contains(excluded, i))
-                pool.push_back(i);
-    }
-    if (pool.empty()) {
-        pool.resize(n);
-        for (unsigned i = 0; i < n; ++i)
-            pool[i] = i;
-    }
-    if (config.affinity) {
-        auto it = affinityMap.find(signature);
-        if (it != affinityMap.end() && contains(pool, it->second))
-            return finish(it->second);
-    }
-    unsigned best = pool[0];
-    for (unsigned i : pool)
-        if (workers[i]->load.load(std::memory_order_relaxed)
-            < workers[best]->load.load(std::memory_order_relaxed))
-            best = i;
-    return finish(best);
+    const unsigned pick = affinityTier == top ? affinity : best[top];
+    if (workers[pick]->breakerOpen)
+        workers[pick]->breakerCooldownLeft = config.breakerCooldown;
+    return pick;
 }
 
 void
@@ -639,19 +632,6 @@ DispatchService::jobDone()
     }
 }
 
-JobHandle
-DispatchService::submit(Job job)
-{
-    // Deprecated shim: wrap the raw job in a spec and go through the
-    // batched submission core.
-    JobSpec spec;
-    spec.job_ = std::move(job);
-    JobHandle handle;
-    submitMany(std::span<const JobSpec>(&spec, 1),
-               std::span<JobHandle>(&handle, 1));
-    return handle;
-}
-
 std::vector<JobHandle>
 DispatchService::submitMany(std::span<const JobSpec> specs)
 {
@@ -698,13 +678,7 @@ DispatchService::submitMany(std::span<const JobSpec> specs,
     std::vector<Rejected> rejected;
 
     for (unsigned widx = 0; widx < workers.size(); ++widx) {
-        bool any = false;
-        for (unsigned r : routes)
-            if (r == widx) {
-                any = true;
-                break;
-            }
-        if (!any)
+        if (!contains(routes, widx))
             continue;
         Worker &w = *workers[widx];
         std::size_t pushed = 0;
@@ -798,13 +772,7 @@ DispatchService::submitMany(std::span<const JobSpec> specs,
         }
         if (specs[r.spec].job_.done)
             specs[r.spec].job_.done(res);
-        {
-            std::lock_guard<std::mutex> slock(state->mu);
-            state->result = std::move(res);
-            state->phase.store(detail::JobState::Done,
-                               std::memory_order_release);
-        }
-        state->cv.notify_all();
+        publishDone(std::move(state), std::move(res));
     }
 }
 
@@ -837,48 +805,38 @@ DispatchService::stop()
     started.store(false, std::memory_order_release);
 }
 
-void
-DispatchService::finishJob(BufferPool &pool, detail::QueuedJob &&qj,
-                           JobResult res)
-{
-    // The callback runs before the handle reports Done: once a
-    // waiter wakes from result() the job -- callback included -- is
-    // truly finished, and the caller may tear its captures down.
-    if (qj.job.done)
-        qj.job.done(res);
-    // Return the shell before a waiter can see Done, so a waiter that
-    // resubmits at once finds it back in the pool rather than minting
-    // a fresh one.  The state reference moves out of the shell first:
-    // while this thread holds it, acquireState() cannot recycle the
-    // block, even when the handle was discarded.  It is dropped under
-    // the lock; the pool's own reference keeps the block alive, so the
-    // unlock is this thread's last touch, and a waiter that sees Done
-    // finds no reference of this thread's left on the block.
-    std::shared_ptr<detail::JobState> state = std::move(qj.state);
-    pool.releaseShell(std::move(qj));
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->result = std::move(res);
-    state->phase.store(detail::JobState::Done, std::memory_order_release);
-    state->cv.notify_all();
-    state.reset();
-}
-
-void
-DispatchService::finishCancelled(unsigned idx, detail::QueuedJob &&qj)
+bool
+DispatchService::claim(unsigned idx, detail::QueuedJob &qj)
 {
     Worker &w = *workers[idx];
-    cancelledCounter->inc();
-    if (qj.job.done) {
-        JobResult res;
-        {
-            std::lock_guard<std::mutex> lock(qj.state->mu);
-            res = qj.state->result;
+    // A lost race means the job was cancelled while queued and the
+    // handle already carries the Cancelled result; the done callback
+    // still fires exactly once, here, and the job leaves the system.
+    int expected = detail::JobState::Queued;
+    if (!qj.state->phase.compare_exchange_strong(
+            expected, detail::JobState::Running)) {
+        cancelledCounter->inc();
+        if (qj.job.done) {
+            JobResult res;
+            {
+                std::lock_guard<std::mutex> lock(qj.state->mu);
+                res = qj.state->result;
+            }
+            qj.job.done(res);
         }
-        qj.job.done(res);
+        w.load.fetch_sub(1, std::memory_order_relaxed);
+        jobDone();
+        w.pool.releaseShell(std::move(qj));
+        return false;
     }
-    w.load.fetch_sub(1, std::memory_order_relaxed);
-    jobDone();
-    w.pool.releaseShell(std::move(qj));
+    // The device is idle between jobs, so its clock is safe to read.
+    if (tracer_.enabled()) {
+        tracer_.complete(
+            w.traceTrack, "queue", qj.enqueuedNs, w.dev->now(), qj.job.id,
+            {{"signature", qj.job.signature},
+             {"attempt", std::to_string(qj.attempt + 1)}});
+    }
+    return true;
 }
 
 void
@@ -911,27 +869,9 @@ DispatchService::workerLoop(unsigned idx)
 
         applyPendingInstallers(idx);
 
-        // Claim the job; a lost race means it was cancelled while
-        // queued and the handle already carries the Cancelled result.
-        // The done callback still fires exactly once, here.
-        int expected = detail::JobState::Queued;
-        if (!qj.state->phase.compare_exchange_strong(
-                expected, detail::JobState::Running)) {
-            finishCancelled(idx, std::move(qj));
+        if (!claim(idx, qj))
             continue;
-        }
-
-        // The device is idle between jobs, so its clock is safe to
-        // read here: close the queue span and record the claim.
-        const sim::TimeNs claimNs = w.dev->now();
-        if (tracer_.enabled()) {
-            tracer_.complete(
-                w.traceTrack, "queue", qj.enqueuedNs, claimNs,
-                qj.job.id,
-                {{"signature", qj.job.signature},
-                 {"attempt", std::to_string(qj.attempt + 1)}});
-        }
-        w.flight.record(claimNs, qj.job.id, "claim",
+        w.flight.record(w.dev->now(), qj.job.id, "claim",
                         "dev=" + w.dev->name() + " attempt="
                             + std::to_string(qj.attempt + 1));
 
@@ -955,9 +895,7 @@ DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head)
     // members in one go.
     auto rec = store_.peek(head.job.signature, w.fingerprint,
                            head.job.units);
-    if (rec && w.rt->guard().enabled()
-        && store_.isBlacklisted(head.job.signature, rec->selectedName,
-                                w.fingerprint))
+    if (rec && blacklisted(w, head.job.signature, rec->selectedName))
         rec.reset();
     const bool profilable =
         head.job.units >= config.runtime.minUnitsForProfiling
@@ -978,25 +916,23 @@ DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head)
     w.batchMembers.clear();
     {
         std::unique_lock<std::mutex> lock(w.qmu);
-        if (batcher.gather(w.queue, head.job, w.batchMembers) > 0)
-            w.spaceCv.notify_all();
-        if (config.batch.windowNs > 0
-            && w.batchMembers.size() + 1 < config.batch.maxJobs) {
-            // The window is an absolute deadline: any qcv wakeup (a
-            // new job on the shard, an installer broadcast) re-gathers
-            // and keeps waiting, so a single early notify cannot cut
-            // the accumulation window short.
-            const auto deadline =
-                std::chrono::steady_clock::now()
-                + std::chrono::nanoseconds(config.batch.windowNs);
-            while (w.batchMembers.size() + 1 < config.batch.maxJobs) {
-                const auto ws = w.qcv.wait_until(lock, deadline);
-                if (batcher.gather(w.queue, head.job, w.batchMembers)
-                    > 0)
-                    w.spaceCv.notify_all();
-                if (ws == std::cv_status::timeout)
-                    break;
-            }
+        // The window is an absolute deadline: any qcv wakeup (a new
+        // job on the shard, an installer broadcast) re-gathers and
+        // keeps waiting, so a single early notify cannot cut the
+        // accumulation window short.  A timed-out wait gathers once
+        // more before the batch closes.
+        const auto deadline =
+            std::chrono::steady_clock::now()
+            + std::chrono::nanoseconds(config.batch.windowNs);
+        bool windowOpen = config.batch.windowNs > 0;
+        for (;;) {
+            if (batcher.gather(w.queue, head.job, w.batchMembers) > 0)
+                w.spaceCv.notify_all();
+            if (!windowOpen
+                || w.batchMembers.size() + 1 >= config.batch.maxJobs)
+                break;
+            windowOpen = w.qcv.wait_until(lock, deadline)
+                         != std::cv_status::timeout;
         }
     }
 
@@ -1005,19 +941,8 @@ DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head)
     std::size_t kept = 0;
     for (std::size_t i = 0; i < w.batchMembers.size(); ++i) {
         detail::QueuedJob &m = w.batchMembers[i];
-        int expected = detail::JobState::Queued;
-        if (!m.state->phase.compare_exchange_strong(
-                expected, detail::JobState::Running)) {
-            finishCancelled(idx, std::move(m));
+        if (!claim(idx, m))
             continue;
-        }
-        if (tracer_.enabled()) {
-            tracer_.complete(
-                w.traceTrack, "queue", m.enqueuedNs, w.dev->now(),
-                m.job.id,
-                {{"signature", m.job.signature},
-                 {"attempt", std::to_string(m.attempt + 1)}});
-        }
         if (i != kept)
             w.batchMembers[kept] = std::move(m);
         ++kept;
@@ -1048,17 +973,12 @@ DispatchService::runBatch(unsigned idx,
     const std::size_t n = members.size();
     const bool warm = rec.has_value();
 
-    // Resolve the stored winner by name (records survive
-    // re-registration); keep the runtime's own cache warm so future
-    // solo launches of the signature skip the store round-trip.
+    // Keep the runtime's own cache warm with the stored winner so
+    // future solo launches of the signature skip the store round-trip.
     int variant = -1;
     if (warm) {
-        variant = rec->selected;
-        if (const auto *variants = w.rt->findVariants(sig)) {
-            for (std::size_t i = 0; i < variants->size(); ++i)
-                if ((*variants)[i].name == rec->selectedName)
-                    variant = static_cast<int>(i);
-        }
+        variant =
+            variantIndex(*w.rt, sig, rec->selectedName, rec->selected);
         (void)w.rt->tryImportSelection(sig, variant);
     }
 
@@ -1092,6 +1012,7 @@ DispatchService::runBatch(unsigned idx,
         sig, warm ? variant : -1, w.batchSlices, opt, report);
     const sim::TimeNs elapsed = w.dev->now() - before;
     w.clockNs.store(w.dev->now(), std::memory_order_relaxed);
+    const sim::TimeNs share = elapsed / n;
 
     if (!st.ok()) {
         // The fused launch failed as a whole: demote every member to
@@ -1100,10 +1021,7 @@ DispatchService::runBatch(unsigned idx,
         // persistently faulty job then flows through the normal
         // per-job retry machinery on its solo runs.
         const support::StatusCode code = st.code();
-        const bool deviceFault =
-            code == support::StatusCode::Unavailable
-            || code == support::StatusCode::DeadlineExceeded;
-        breakerObserve(idx, deviceFault);
+        breakerObserve(idx, isDeviceFault(code));
         batchDemotedCounter->inc(n);
         if (tracer_.enabled()) {
             tracer_.instant(
@@ -1116,8 +1034,6 @@ DispatchService::runBatch(unsigned idx,
         w.flight.record(w.dev->now(), head.job.id, "batch.demote",
                         "jobs=" + std::to_string(n) + " "
                             + st.toString());
-        const sim::TimeNs share = elapsed / n;
-        std::size_t requeued = 0;
         {
             std::lock_guard<std::mutex> lock(w.qmu);
             for (detail::QueuedJob &m : members) {
@@ -1130,12 +1046,10 @@ DispatchService::runBatch(unsigned idx,
                 m.state->phase.store(detail::JobState::Queued,
                                      std::memory_order_release);
                 w.queue.push(std::move(m));
-                ++requeued;
             }
         }
         // Members stayed on this shard, so w.load is already right;
         // the worker loops straight back into the queue.
-        (void)requeued;
         members.clear();
         return;
     }
@@ -1159,7 +1073,6 @@ DispatchService::runBatch(unsigned idx,
         affinityMap[sig] = idx;
     }
 
-    const sim::TimeNs share = elapsed / n;
     for (detail::QueuedJob &m : members) {
         JobResult res;
         res.id = m.job.id;
@@ -1173,26 +1086,7 @@ DispatchService::runBatch(unsigned idx,
         res.attempts = m.attempt + 1;
         res.backoffNs = m.backoffNs;
         m.spentNs += share;
-        if (m.job.deadlineNs != 0
-            && m.spentNs + m.backoffNs > m.job.deadlineNs) {
-            res.status = support::Status::deadlineExceeded(
-                "job " + std::to_string(m.job.id)
-                + " exceeded its deadline");
-            reg.counter("recover.timeouts").inc();
-        }
-        const bool succeeded = res.ok();
-        if (succeeded) {
-            w.jobsCounter->inc();
-            deviceNsHist->observe(static_cast<double>(share));
-            w.latencyHist->observe(static_cast<double>(share));
-        }
-        (succeeded ? completedCounter : failedCounter)->inc();
-        attemptsHist->observe(static_cast<double>(res.attempts));
-        if (res.backoffNs > 0)
-            backoffHist->observe(static_cast<double>(res.backoffNs));
-        finishJob(w.pool, std::move(m), std::move(res));
-        w.load.fetch_sub(1, std::memory_order_relaxed);
-        jobDone();
+        complete(idx, m, std::move(res), false);
     }
     members.clear();
 }
@@ -1207,23 +1101,9 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
     qj.spentNs += res.deviceTimeNs;
     w.clockNs.store(w.dev->now(), std::memory_order_relaxed);
 
-    // The breaker watches device faults, not job-level failures
-    // (an unknown signature says nothing about device health).
     const support::StatusCode launchCode = res.status.code();
-    const bool deviceFault =
-        launchCode == support::StatusCode::Unavailable
-        || launchCode == support::StatusCode::DeadlineExceeded;
     if (launchCode == support::StatusCode::DeadlineExceeded) {
         // A hung device timed the attempt out.
-        reg.counter("recover.timeouts").inc();
-    }
-
-    // Job-level deadline: device time plus charged backoff.
-    if (res.ok() && qj.job.deadlineNs != 0
-        && qj.spentNs + qj.backoffNs > qj.job.deadlineNs) {
-        res.status = support::Status::deadlineExceeded(
-            "job " + std::to_string(qj.job.id)
-            + " exceeded its deadline");
         reg.counter("recover.timeouts").inc();
     }
 
@@ -1243,51 +1123,73 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
             reg.counter("recover.timeouts").inc();
         }
     }
+    breakerObserve(idx, isDeviceFault(launchCode));
 
-    if (retry) {
-        // Back to Queued so the next worker can claim it (and a
-        // cancel() between attempts still wins the race).
-        qj.state->phase.store(detail::JobState::Queued,
-                              std::memory_order_release);
-        breakerObserve(idx, deviceFault);
-        qj.attempt = res.attempts;
-        qj.excluded.push_back(idx);
-        qj.backoffNs += backoff;
-        std::vector<unsigned> excluded = qj.excluded;
-        if (excluded.size() >= workers.size())
-            excluded.clear(); // every device failed it: restart
-        const unsigned target = route(qj.job.signature, excluded);
-        reg.counter("recover.retries").inc();
-        reg.counter(devMetric("device.retries_out", idx)).inc();
-        if (tracer_.enabled()) {
-            tracer_.instant(
-                w.traceTrack, "retry", w.dev->now(), qj.job.id,
-                {{"from", devKey(idx)},
-                 {"to", devKey(target)},
-                 {"attempt", std::to_string(qj.attempt + 1)},
-                 {"code",
-                  support::statusCodeName(res.status.code())}});
-        }
-        w.flight.record(w.dev->now(), qj.job.id, "retry",
-                        "to=" + devKey(target) + " "
-                            + res.status.toString());
-        // Retries bypass admission: the job is already admitted,
-        // and a worker thread must never block on a full shard.
-        enqueue(target, std::move(qj));
-        w.load.fetch_sub(1, std::memory_order_relaxed);
+    if (!retry) {
+        const bool pin = res.report.profiled || res.report.fromCache;
+        complete(idx, qj, std::move(res), pin);
         return;
+    }
+    // Back to Queued so the next worker can claim it (and a cancel()
+    // between attempts still wins the race).
+    qj.state->phase.store(detail::JobState::Queued,
+                          std::memory_order_release);
+    qj.attempt = res.attempts;
+    qj.excluded.push_back(idx);
+    qj.backoffNs += backoff;
+    // Once every device has failed the job, routing starts afresh.
+    const unsigned target = route(
+        qj.job.signature,
+        qj.excluded.size() >= workers.size() ? kNoExclusions
+                                             : qj.excluded);
+    reg.counter("recover.retries").inc();
+    reg.counter(devMetric("device.retries_out", idx)).inc();
+    if (tracer_.enabled()) {
+        tracer_.instant(
+            w.traceTrack, "retry", w.dev->now(), qj.job.id,
+            {{"from", devKey(idx)},
+             {"to", devKey(target)},
+             {"attempt", std::to_string(qj.attempt + 1)},
+             {"code", support::statusCodeName(res.status.code())}});
+    }
+    w.flight.record(w.dev->now(), qj.job.id, "retry",
+                    "to=" + devKey(target) + " " + res.status.toString());
+    // Retries bypass admission: the job is already admitted, and a
+    // worker thread must never block on a full shard.
+    enqueue(target, std::move(qj));
+    w.load.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void
+DispatchService::complete(unsigned idx, detail::QueuedJob &qj,
+                          JobResult res, bool pinAffinity)
+{
+    Worker &w = *workers[idx];
+    if (res.ok()) {
+        // The launch succeeded: the device served it, even when the
+        // job then turns out to have overrun its deadline.
+        w.jobsCounter->inc();
+        deviceNsHist->observe(static_cast<double>(res.deviceTimeNs));
+        w.latencyHist->observe(static_cast<double>(res.deviceTimeNs));
+        if (res.report.profiled)
+            w.profiledCounter->inc();
+    }
+    // Job-level deadline: device time plus charged backoff.
+    if (res.ok() && qj.job.deadlineNs != 0
+        && qj.spentNs + qj.backoffNs > qj.job.deadlineNs) {
+        res.status = support::Status::deadlineExceeded(
+            "job " + std::to_string(qj.job.id)
+            + " exceeded its deadline");
+        reg.counter("recover.timeouts").inc();
     }
 
     const bool succeeded = res.ok();
-    breakerObserve(idx, deviceFault);
-    if (config.affinity && succeeded
-        && (res.report.profiled || res.report.fromCache)) {
-        // Insert-or-re-pin: after a re-routed retry the
-        // signature sticks to the device that worked.
+    if (config.affinity && pinAffinity && succeeded) {
+        // Insert-or-re-pin: after a re-routed retry the signature
+        // sticks to the device that worked.
         std::lock_guard<std::mutex> lock(routeMu);
         affinityMap[qj.job.signature] = idx;
     }
-
     (succeeded ? completedCounter : failedCounter)->inc();
     attemptsHist->observe(static_cast<double>(res.attempts));
     if (res.backoffNs > 0)
@@ -1300,8 +1202,20 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
                             + res.status.toString());
         res.status.withPayload(w.flight.dump());
     }
-    finishJob(w.pool, std::move(qj), std::move(res));
 
+    // The callback runs before the handle reports Done: once a
+    // waiter wakes from result() the job -- callback included -- is
+    // truly finished, and the caller may tear its captures down.
+    if (qj.job.done)
+        qj.job.done(res);
+    // Return the shell before a waiter can see Done, so a waiter that
+    // resubmits at once finds it back in the pool rather than minting
+    // a fresh one.  The state reference moves out of the shell first:
+    // while this thread holds it, acquireState() cannot recycle the
+    // block, even when the handle was discarded.
+    std::shared_ptr<detail::JobState> state = std::move(qj.state);
+    w.pool.releaseShell(std::move(qj));
+    publishDone(std::move(state), std::move(res));
     w.load.fetch_sub(1, std::memory_order_relaxed);
     jobDone();
 }
@@ -1348,9 +1262,7 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
     auto lookupUsable = [&]() {
         auto rec =
             store_.lookup(job.signature, w.fingerprint, job.units);
-        if (rec && w.rt->guard().enabled()
-            && store_.isBlacklisted(job.signature, rec->selectedName,
-                                    w.fingerprint)) {
+        if (rec && blacklisted(w, job.signature, rec->selectedName)) {
             if (tracer_.enabled()) {
                 tracer_.instant(w.traceTrack,
                                 "store.blocked_warmstart",
@@ -1421,20 +1333,10 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         if (confident) {
             // Resolve the predicted variant by name; an unknown or
             // blacklisted variant voids the prediction.
-            int variant = -1;
-            if (const auto *variants =
-                    w.rt->findVariants(job.signature)) {
-                for (std::size_t i = 0; i < variants->size(); ++i)
-                    if ((*variants)[i].name == pred->variant)
-                        variant = static_cast<int>(i);
-            }
-            const bool blocked =
-                variant < 0
-                || (w.rt->guard().enabled()
-                    && store_.isBlacklisted(job.signature,
-                                            pred->variant,
-                                            w.fingerprint));
-            if (!blocked) {
+            const int variant =
+                variantIndex(*w.rt, job.signature, pred->variant);
+            if (variant >= 0
+                && !blacklisted(w, job.signature, pred->variant)) {
                 store_.seedPrediction(job.signature, w.fingerprint,
                                       job.units, variant,
                                       pred->variant,
@@ -1521,14 +1423,9 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
     // runtime emits for this launch carries it.
     opt.correlationId = job.id;
     if (rec) {
-        // Warm start: resolve the stored winner (by name, so records
-        // survive re-registration) and skip profiling.
-        int variant = rec->selected;
-        if (const auto *variants = w.rt->findVariants(job.signature)) {
-            for (std::size_t i = 0; i < variants->size(); ++i)
-                if ((*variants)[i].name == rec->selectedName)
-                    variant = static_cast<int>(i);
-        }
+        // Warm start: run the stored winner, skip profiling.
+        const int variant = variantIndex(*w.rt, job.signature,
+                                         rec->selectedName, rec->selected);
         if (auto st = w.rt->tryImportSelection(job.signature, variant);
             !st.ok()) {
             res.status = std::move(st);
@@ -1561,11 +1458,6 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
     res.deviceTimeNs = w.dev->now() - before;
 
     if (res.ok()) {
-        w.jobsCounter->inc();
-        deviceNsHist->observe(static_cast<double>(res.deviceTimeNs));
-        w.latencyHist->observe(static_cast<double>(res.deviceTimeNs));
-        if (res.report.profiled)
-            w.profiledCounter->inc();
         // Selection-quality audit: a sampled warm hit is followed by
         // a shadow probe of winner vs runner-up, here -- while the
         // job's buffers are still alive -- and before completion, so
@@ -1579,27 +1471,43 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
                && retryableCode(res.status.code())) {
         // The stored selection failed to even launch: demote it so
         // the next lookup serves the runner-up (or re-profiles).
-        switch (store_.reportFailure(job.signature, w.fingerprint,
-                                     job.units)) {
-          case store::Observation::Quarantined:
-            reg.counter("store.quarantine").inc();
-            if (tracer_.enabled()) {
-                tracer_.instant(w.traceTrack, "store.quarantine",
-                                w.dev->now(), job.id,
-                                {{"signature", job.signature}});
-            }
-            break;
-          case store::Observation::Invalidated:
-            reg.counter("store.drift_invalidation").inc();
-            break;
-          case store::Observation::Ok:
-            break;
-        }
+        noteObservation(store_.reportFailure(job.signature,
+                                             w.fingerprint, job.units),
+                        job.signature);
     }
     // The coalesce lease (when held) releases here: the profiled
     // record is in the store -- or the attempt failed and a follower
     // takes over.
     return res;
+}
+
+bool
+DispatchService::blacklisted(const Worker &w, const std::string &sig,
+                             const std::string &variant) const
+{
+    return w.rt->guard().enabled()
+           && store_.isBlacklisted(sig, variant, w.fingerprint);
+}
+
+void
+DispatchService::noteObservation(store::Observation obs,
+                                 const std::string &signature)
+{
+    switch (obs) {
+      case store::Observation::Quarantined:
+        reg.counter("store.quarantine").inc();
+        if (tracer_.enabled() && tlDevice) {
+            tracer_.instant(tlTraceTrack, "store.quarantine",
+                            tlDevice->now(), tlJobId,
+                            {{"signature", signature}});
+        }
+        break;
+      case store::Observation::Invalidated:
+        reg.counter("store.drift_invalidation").inc();
+        break;
+      case store::Observation::Ok:
+        break;
+    }
 }
 
 void
@@ -1618,9 +1526,7 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
     for (const auto &p : rec.profiles) {
         if (p.name == winner || p.units == 0)
             continue;
-        if (w.rt->guard().enabled()
-            && store_.isBlacklisted(job.signature, p.name,
-                                    w.fingerprint))
+        if (blacklisted(w, job.signature, p.name))
             continue;
         const double unitNs =
             p.metricNs / static_cast<double>(p.units);
@@ -1629,16 +1535,9 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
             bestUnitNs = unitNs;
         }
     }
-    auto indexOf = [&](const std::string &name) -> int {
-        if (const auto *variants = w.rt->findVariants(job.signature)) {
-            for (std::size_t i = 0; i < variants->size(); ++i)
-                if ((*variants)[i].name == name)
-                    return static_cast<int>(i);
-        }
-        return -1;
-    };
-    const int winIdx = indexOf(winner);
-    const int runIdx = runnerUp.empty() ? -1 : indexOf(runnerUp);
+    const int winIdx = variantIndex(*w.rt, job.signature, winner);
+    const int runIdx =
+        runnerUp.empty() ? -1 : variantIndex(*w.rt, job.signature, runnerUp);
     if (winIdx < 0 || runIdx < 0) {
         // A sampled hit whose probe pair cannot even be resolved
         // (stale record, re-registration): account it as a failed

@@ -14,11 +14,10 @@
  * launch observer.  Counters and latency histograms are exposed
  * through a support::MetricsRegistry.
  *
- * Submission API (DESIGN §10): the stable public surface is the
- * builder-style JobSpec plus submitMany(), which admits a whole span
- * of jobs under one shard-lock acquisition per destination shard and
- * returns their handles; submit(Job) remains as a thin deprecated
- * shim.  Kernel pools are installed through registerKernelPool(),
+ * Submission API (DESIGN §10): the public surface is the builder-style
+ * JobSpec plus submitMany(), which admits a whole span of jobs under
+ * one shard-lock acquisition per destination shard and returns their
+ * handles.  Kernel pools are installed through registerKernelPool(),
  * which is thread-safe before *and* after start(); runtimeAt() is
  * const observation only.
  *
@@ -310,7 +309,7 @@ class DispatchService
      * are routed first, then each destination shard's lock is taken
      * once for all of its jobs -- a burst of compatible jobs lands in
      * one lock acquisition and is immediately fusable by the worker.
-     * Admission control applies per job, exactly as with submit().
+     * Admission control applies per job.
      * Steady-state calls perform no heap allocation on this thread
      * (see the JobSpec reuse contract).
      */
@@ -319,14 +318,6 @@ class DispatchService
 
     /** Convenience overload returning the handles in a vector. */
     std::vector<JobHandle> submitMany(std::span<const JobSpec> specs);
-
-    /**
-     * Enqueue one job; returns its handle.
-     *
-     * @deprecated Thin shim over submitMany(); build a JobSpec and
-     * use submitMany() instead.
-     */
-    JobHandle submit(Job job);
 
     /** Block until every submitted job has completed. */
     void drain();
@@ -486,19 +477,30 @@ class DispatchService
     void runBatch(unsigned idx,
                   const std::optional<store::SelectionRecord> &rec);
 
-    /** Worker-side completion of a solo job (shared tail of the
-     * worker loop): retry decision, breaker, affinity, metrics. */
+    /** Worker-side end of a solo attempt: the retry decision and
+     * the breaker, then complete() unless the job is re-routed. */
     void completeSolo(unsigned idx, detail::QueuedJob &qj,
                       JobResult res);
 
-    /** A queued job lost its claim race to cancel(): deliver the
-     * exactly-once callback and drop it from the system. */
-    void finishCancelled(unsigned idx, detail::QueuedJob &&qj);
+    /**
+     * The one terminal completion of a job that ran on @p idx, solo
+     * or as a batch member: device metrics for a successful launch,
+     * the job deadline, the affinity pin (with @p pinAffinity, on
+     * success), the jobs.* / attempts / backoff metrics, the flight
+     * dump on failure; then the done callback, the shell back to the
+     * pool before the handle reports Done, the shard load and
+     * jobDone().
+     */
+    void complete(unsigned idx, detail::QueuedJob &qj, JobResult res,
+                  bool pinAffinity);
 
-    /** Deliver @p res to the done callback and the handle, returning
-     * @p qj's shell to @p pool before the handle reports Done. */
-    static void finishJob(BufferPool &pool, detail::QueuedJob &&qj,
-                          JobResult res);
+    /**
+     * Claim a dequeued job for running (Queued -> Running) and close
+     * its queue span.  Returns false when cancel() won the race: the
+     * job then gets its exactly-once callback here and leaves the
+     * system (@p qj is consumed).
+     */
+    bool claim(unsigned idx, detail::QueuedJob &qj);
 
     /** Apply registerKernelPool() installers this worker has not yet
      * run (worker thread; cheap relaxed check when up to date). */
@@ -514,14 +516,23 @@ class DispatchService
      * Pick the worker for @p signature, skipping @p excluded devices
      * and open breakers (takes routeMu).  Decrements open-breaker
      * cooldowns as a side effect; an expired cooldown makes the
-     * device eligible for one probe job.  Allocation-free for fleets
-     * of up to 64 devices.
+     * device eligible for one probe job.  Allocation-free.
      */
     unsigned route(const std::string &signature,
                    const std::vector<unsigned> &excluded);
 
     /** Breaker bookkeeping after an attempt on @p idx (routeMu). */
     void breakerObserve(unsigned idx, bool deviceFault);
+
+    /** Whether the guard bars @p variant of @p sig on @p w's device
+     * (a stored or predicted winner blacklisted since). */
+    bool blacklisted(const Worker &w, const std::string &sig,
+                     const std::string &variant) const;
+
+    /** Count a store observation of the job this thread runs; a
+     * quarantine also leaves a trace instant. */
+    void noteObservation(store::Observation obs,
+                         const std::string &signature);
 
     /**
      * Shadow-audit a warm solo hit (worker thread, inside runJob

@@ -4,10 +4,9 @@
  * submission spec, the caller-side handle, and the internal queued-job
  * shell the buffer pool recycles.
  *
- * The stable public submission surface is JobSpec + DispatchService::
- * submitMany() (DESIGN §10).  The raw Job struct remains as the
- * storage type behind JobSpec and as the input of the deprecated
- * submit(Job) shim.
+ * The public submission surface is JobSpec + DispatchService::
+ * submitMany() (DESIGN §10); the raw Job struct is the storage type
+ * behind JobSpec.
  */
 #pragma once
 
@@ -72,11 +71,8 @@ struct JobResult
 };
 
 /**
- * One launch job (storage form).
- *
- * @deprecated As a public submission type: build a JobSpec and use
- * DispatchService::submitMany() instead.  submit(Job) remains as a
- * thin shim over the same path.
+ * One launch job: the storage form behind JobSpec (build a JobSpec and
+ * submit it with DispatchService::submitMany()).
  */
 struct Job
 {
@@ -114,7 +110,7 @@ struct Job
     /** Exclude this job from batch fusion (solo execution only). */
     bool noBatch = false;
 
-    /** Assigned by submit()/submitMany(). */
+    /** Assigned by submitMany(). */
     std::uint64_t id = 0;
 };
 
@@ -289,7 +285,7 @@ class JobHandle
     /** Whether the handle refers to a job. */
     bool valid() const { return static_cast<bool>(state_); }
 
-    /** The job id assigned by submit(). */
+    /** The job id assigned by submitMany(). */
     std::uint64_t id() const { return state_ ? state_->id : 0; }
 
     /** Whether the job has finished (done or cancelled). */

@@ -18,6 +18,7 @@
 
 #include "serve/dispatch_service.hh"
 #include "sim/cpu/cpu_device.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -88,14 +89,13 @@ regularInfo(const std::string &sig)
     return info;
 }
 
-Job
+JobSpec
 gateJob(kdp::Buffer<std::int32_t> &out, std::uint64_t units)
 {
-    Job job;
-    job.signature = "gate";
-    job.units = units;
-    job.args.add(out).add(static_cast<std::int64_t>(units));
-    return job;
+    JobSpec spec;
+    spec.signature("gate").units(units);
+    spec.mutableArgs().add(out).add(static_cast<std::int64_t>(units));
+    return spec;
 }
 
 } // namespace
@@ -130,19 +130,19 @@ TEST(Backpressure, ShedReturnsResourceExhaustedWhenQueueFull)
     kdp::Buffer<std::int32_t> out3(kUnits, kdp::MemSpace::Global, "bp.3");
 
     // Job 1 occupies the worker (parked inside the kernel) ...
-    JobHandle h1 = svc.submit(gateJob(out1, kUnits));
+    JobHandle h1 = submitOne(svc, gateJob(out1, kUnits));
     gate.awaitEntered();
     // ... job 2 fills the depth-1 queue ...
-    JobHandle h2 = svc.submit(gateJob(out2, kUnits));
+    JobHandle h2 = submitOne(svc, gateJob(out2, kUnits));
     // ... so job 3 must be shed, synchronously.
     std::atomic<bool> callbackFired{false};
-    Job job3 = gateJob(out3, kUnits);
-    job3.done = [&callbackFired](const JobResult &r) {
+    JobSpec job3 = gateJob(out3, kUnits);
+    job3.onDone([&callbackFired](const JobResult &r) {
         EXPECT_EQ(r.status.code(),
                   support::StatusCode::ResourceExhausted);
         callbackFired.store(true, std::memory_order_release);
-    };
-    JobHandle h3 = svc.submit(std::move(job3));
+    });
+    JobHandle h3 = submitOne(svc, job3);
     EXPECT_TRUE(h3.done());
     EXPECT_TRUE(callbackFired.load(std::memory_order_acquire));
     const JobResult &r3 = h3.result();
@@ -187,14 +187,14 @@ TEST(Backpressure, BlockParksSubmitterUntilQueueDrains)
     kdp::Buffer<std::int32_t> out2(kUnits, kdp::MemSpace::Global, "bp.2");
     kdp::Buffer<std::int32_t> out3(kUnits, kdp::MemSpace::Global, "bp.3");
 
-    JobHandle h1 = svc.submit(gateJob(out1, kUnits));
+    JobHandle h1 = submitOne(svc, gateJob(out1, kUnits));
     gate.awaitEntered();
-    JobHandle h2 = svc.submit(gateJob(out2, kUnits));
+    JobHandle h2 = submitOne(svc, gateJob(out2, kUnits));
 
     std::atomic<bool> submitReturned{false};
     JobHandle h3;
     std::thread submitter([&] {
-        h3 = svc.submit(gateJob(out3, kUnits));
+        h3 = submitOne(svc, gateJob(out3, kUnits));
         submitReturned.store(true, std::memory_order_release);
     });
     // The queue is full and the worker is parked: submit() must still
@@ -244,9 +244,9 @@ TEST(Backpressure, CancelledQueuedFollowerDoesNotPoisonLeader)
     kdp::Buffer<std::int32_t> outF(kUnits, kdp::MemSpace::Global, "bp.f");
     kdp::Buffer<std::int32_t> outW(kUnits, kdp::MemSpace::Global, "bp.w");
 
-    JobHandle leader = svc.submit(gateJob(outL, kUnits));
+    JobHandle leader = submitOne(svc, gateJob(outL, kUnits));
     gate.awaitEntered(); // leader is parked mid-profile
-    JobHandle follower = svc.submit(gateJob(outF, kUnits));
+    JobHandle follower = submitOne(svc, gateJob(outF, kUnits));
     ASSERT_TRUE(follower.cancel());
     const JobResult &rf = follower.result();
     EXPECT_EQ(rf.status.code(), support::StatusCode::Cancelled);
@@ -259,7 +259,7 @@ TEST(Backpressure, CancelledQueuedFollowerDoesNotPoisonLeader)
 
     // The leader's record survived the cancelled follower: the next
     // job is served warm from the store.
-    JobHandle warm = svc.submit(gateJob(outW, kUnits));
+    JobHandle warm = submitOne(svc, gateJob(outW, kUnits));
     const JobResult &rw = warm.result();
     EXPECT_TRUE(rw.ok()) << rw.status.toString();
     EXPECT_TRUE(rw.warmStart);

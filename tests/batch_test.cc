@@ -478,6 +478,86 @@ TEST(BatchCallbacks, CancelInsideGatheredBatchFiresExactlyOnce)
 }
 
 /**
+ * A fused member whose deadline is smaller than its share of the
+ * fused launch fails the way a solo job does: DeadlineExceeded, one
+ * recover.timeouts, one jobs.failed, the worker's flight dump attached,
+ * and its successful launch still counted on the device.  The other
+ * members complete normally.
+ */
+TEST(BatchCallbacks, MemberDeadlineFailsLikeSoloJob)
+{
+    constexpr std::size_t kJobs = 4;
+    constexpr std::size_t kLate = 2;
+    constexpr std::uint64_t kUnits = 64; // sub-threshold
+    Gate gate;
+
+    store::SelectionStore store;
+    ServiceConfig cfg;
+    cfg.batch.maxJobs = 8;
+    DispatchService svc(store, cfg);
+    svc.addDevice(std::make_unique<sim::CpuDevice>());
+    svc.registerKernelPool([&gate](runtime::Runtime &rt) {
+           rt.addKernel("gate", gatedKernel("only", gate, 100));
+           rt.setKernelInfo("gate", regularInfo("gate"));
+       }).throwIfError();
+    ASSERT_TRUE(installPool(svc, "bk").ok());
+    svc.start();
+
+    // Pin the worker inside a solo job so the batchable jobs queue.
+    kdp::Buffer<std::int32_t> gateOut(kUnits, kdp::MemSpace::Global,
+                                      "bt.gate");
+    JobSpec gateSpec;
+    gateSpec.signature("gate").units(kUnits).noBatch();
+    gateSpec.mutableArgs().add(gateOut).add(
+        static_cast<std::int64_t>(kUnits));
+    JobHandle gateHandle;
+    svc.submitMany(std::span<const JobSpec>(&gateSpec, 1),
+                   std::span<JobHandle>(&gateHandle, 1));
+    gate.awaitEntered();
+
+    std::vector<kdp::Buffer<std::int32_t>> outs;
+    for (std::size_t i = 0; i < kJobs; ++i)
+        outs.emplace_back(kUnits, kdp::MemSpace::Global, "bt.out");
+    std::vector<JobSpec> specs(kJobs);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        specs[i].signature("bk").units(kUnits);
+        specs[i].mutableArgs().add(outs[i]).add(
+            static_cast<std::int64_t>(kUnits));
+    }
+    specs[kLate].deadline(1); // 1 ns: below any share of the launch
+    auto handles = svc.submitMany(specs);
+    gate.open();
+    svc.drain();
+
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        const JobResult &r = handles[i].result();
+        EXPECT_NE(r.batchedWith, 0u) << "job " << i;
+        if (i == kLate) {
+            EXPECT_EQ(r.status.code(),
+                      support::StatusCode::DeadlineExceeded);
+            EXPECT_TRUE(r.status.hasPayload());
+            EXPECT_NE(r.status.payload().find("phase=failed"),
+                      std::string::npos);
+            EXPECT_NE(r.status.payload().find("phase=batch"),
+                      std::string::npos);
+        } else {
+            EXPECT_TRUE(r.ok()) << r.status.toString();
+            expectDigestOutput(outs[i], kUnits);
+        }
+    }
+    const auto &m = svc.metrics();
+    EXPECT_EQ(m.counterValue("batch.launches"), 1u);
+    EXPECT_EQ(m.counterValue("recover.timeouts"), 1u);
+    EXPECT_EQ(m.counterValue("jobs.failed"), 1u);
+    EXPECT_EQ(m.counterValue("jobs.completed"), kJobs);
+    // Every launch succeeded on the device, the late member's too.
+    EXPECT_EQ(m.counterValue(support::MetricsRegistry::labeled(
+                  "device.jobs", "device", "dev0")),
+              kJobs + 1);
+    svc.stop();
+}
+
+/**
  * Jobs shed by admission control while the worker is pinned fire
  * their callbacks exactly once (on the submitter thread) with
  * RESOURCE_EXHAUSTED; the admitted jobs batch and complete.

@@ -30,6 +30,7 @@
 #include "serve/dispatch_service.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "support/rng.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -155,11 +156,11 @@ runStream(bool concurrent, bool coalesce)
                                       "dup.out");
         for (unsigned j = 0; j < kJobsPerThread; ++j) {
             out.fill(-1);
-            Job job;
-            job.signature = sigOf(stream[t][j]);
-            job.units = kUnits;
-            job.args.add(out).add(static_cast<std::int64_t>(kUnits));
-            JobHandle h = svc.submit(std::move(job));
+            JobSpec spec;
+            spec.signature(sigOf(stream[t][j])).units(kUnits);
+            spec.mutableArgs().add(out).add(
+                static_cast<std::int64_t>(kUnits));
+            JobHandle h = submitOne(svc, spec);
             const JobResult &r = h.result();
             ASSERT_TRUE(r.ok()) << r.status.toString();
             {

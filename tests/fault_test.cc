@@ -11,13 +11,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/dispatch_service.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -99,17 +103,15 @@ struct Probe
     }
 };
 
-Job
+JobSpec
 makeJob(Probe &p, std::int32_t marker)
 {
-    Job job;
-    job.signature = p.sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.ensureRegistered = [&p, marker](runtime::Runtime &rt) {
+    JobSpec spec;
+    spec.signature(p.sig).units(p.units).args(p.args);
+    spec.ensureRegistered([&p, marker](runtime::Runtime &rt) {
         registerEquivalentPool(rt, p.sig, marker);
-    };
-    return job;
+    });
+    return spec;
 }
 
 /**
@@ -117,9 +119,9 @@ makeJob(Probe &p, std::int32_t marker)
  * only valid while the handle is alive.
  */
 JobResult
-submitAndWait(DispatchService &svc, Job job)
+submitAndWait(DispatchService &svc, const JobSpec &spec)
 {
-    JobHandle h = svc.submit(std::move(job));
+    JobHandle h = submitOne(svc, spec);
     return h.result();
 }
 
@@ -271,6 +273,106 @@ TEST(ServiceFault, RetryReroutesToHealthyDevice)
     svc.stop();
 }
 
+/**
+ * Routing past 64 devices: with devices 1..63 each parked on a job and
+ * device 0 failing every launch, a job whose first attempt fails on
+ * device 0 must be re-routed to device 64, the only idle device it
+ * has not failed on.  Every job completes exactly once.
+ */
+TEST(ServiceFault, RetryReroutesPastSixtyFourDevices)
+{
+    constexpr unsigned kDevices = 65;
+    constexpr unsigned kParked = kDevices - 2; // devices 1..63
+    // Everything the jobs touch outlives the service, so an early
+    // ASSERT return still drains cleanly.
+    std::atomic<unsigned> parked{0};
+    std::atomic<bool> release{false};
+    std::vector<std::unique_ptr<Probe>> probes;
+    std::vector<std::atomic<int>> calls(kParked + 1);
+    FaultInjector faults;
+    store::SelectionStore store;
+    ServiceConfig cfg;
+    cfg.breakerThreshold = 1000; // device 0 keeps taking first routes
+    DispatchService svc(store, cfg);
+    for (unsigned i = 0; i < kDevices; ++i)
+        svc.addDevice(std::make_unique<sim::CpuDevice>());
+    svc.device(0).setFaultInjector(&faults);
+    faults.failNext(1000);
+    svc.start();
+
+    // A parking job holds its worker inside ensureRegistered -- on any
+    // device but the failing one -- until released, so that device's
+    // load stays at 1 while later jobs are routed.
+    const sim::Device *failing = &svc.device(0);
+    auto spec = [&](unsigned job, bool park) {
+        probes.push_back(std::make_unique<Probe>("k", 8));
+        Probe *p = probes.back().get();
+        JobSpec s = makeJob(*p, 5);
+        s.ensureRegistered([&, park, p](runtime::Runtime &rt) {
+            registerEquivalentPool(rt, p->sig, 5);
+            if (!park || &rt.device() == failing)
+                return;
+            parked.fetch_add(1, std::memory_order_acq_rel);
+            while (!release.load(std::memory_order_acquire))
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+        });
+        s.onDone([&calls, job](const JobResult &) {
+            calls[job].fetch_add(1, std::memory_order_acq_rel);
+        });
+        return s;
+    };
+
+    // A misrouted job queues behind a parked one: fail, don't hang.
+    auto await = [&](auto done) {
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!done()) {
+            if (std::chrono::steady_clock::now() > giveUp) {
+                release.store(true, std::memory_order_release);
+                return false;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        return true;
+    };
+
+    std::vector<JobHandle> handles;
+    for (unsigned k = 0; k < kParked; ++k) {
+        // Least-loaded routing sends each job to device 0 first; its
+        // retry lands on the lowest idle device it has not failed on.
+        // Device 0 drops the retried job from its load only after the
+        // re-route, so wait for that too before the next submit.
+        handles.push_back(submitOne(svc, spec(k, true)));
+        ASSERT_TRUE(await([&] {
+            return parked.load(std::memory_order_acquire) > k
+                   && svc.health().devices[0].load == 0;
+        })) << "job " << k << " did not park on device " << k + 1;
+    }
+
+    JobHandle last = submitOne(svc, spec(kParked, false));
+    ASSERT_TRUE(await([&] { return last.done(); }))
+        << "the retried job did not reach device 64";
+    const JobResult r = last.result();
+    EXPECT_TRUE(r.ok()) << r.status.toString();
+    EXPECT_EQ(r.attempts, 2u);
+    EXPECT_EQ(r.deviceIndex, 64u);
+
+    release.store(true, std::memory_order_release);
+    svc.drain();
+    for (unsigned k = 0; k < kParked; ++k) {
+        const JobResult &pr = handles[k].result();
+        EXPECT_TRUE(pr.ok()) << pr.status.toString();
+        EXPECT_EQ(pr.attempts, 2u);
+        EXPECT_EQ(pr.deviceIndex, k + 1);
+    }
+    for (unsigned job = 0; job <= kParked; ++job)
+        EXPECT_EQ(calls[job].load(), 1) << "job " << job;
+    const auto &m = svc.metrics();
+    EXPECT_EQ(m.counterValue("jobs.completed"), kParked + 1);
+    EXPECT_EQ(m.counterValue("recover.retries"), kParked + 1);
+    svc.stop();
+}
+
 TEST(ServiceFault, BackoffDoublesPerAttemptOnSingleDevice)
 {
     store::SelectionStore store;
@@ -333,9 +435,9 @@ TEST(ServiceFault, DeadlineBudgetStopsRetrying)
     // the (tiny) deadline, so the job gives up as DeadlineExceeded.
     faults.failNext();
     Probe p("k", 2048);
-    Job job = makeJob(p, 6);
-    job.deadlineNs = 1;
-    const JobResult r = submitAndWait(svc, std::move(job));
+    JobSpec job = makeJob(p, 6);
+    job.deadline(1);
+    const JobResult r = submitAndWait(svc, job);
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status.code(), support::StatusCode::DeadlineExceeded);
     EXPECT_EQ(r.attempts, 1u);
@@ -485,7 +587,7 @@ runStorm(bool serial)
         probes.push_back(std::make_unique<Probe>(
             "s" + std::to_string(i % 4), units));
         handles.push_back(
-            svc.submit(makeJob(*probes.back(), marker)));
+            submitOne(svc, makeJob(*probes.back(), marker)));
         if (serial)
             handles.back().wait();
     }

@@ -28,11 +28,15 @@ runMixed(Workload &w, unsigned segments, sim::TimeNs *elapsed = nullptr)
     // Profile segments once, reuse the partitioned selection for the
     // remaining iterations (the mixed analogue of the paper's
     // profiling activation flag).
-    runtime::MixedReport report = runtime::launchKernelMixed(
-        rt, w.signature, w.units, w.args, segments);
-    for (unsigned it = 1; it < w.iterations; ++it)
-        runtime::launchKernelMixedCached(rt, w.signature, w.units,
-                                         w.args, report);
+    runtime::MixedReport report;
+    const support::Status st = runtime::tryLaunchKernelMixed(
+        rt, w.signature, w.units, w.args, segments, report);
+    EXPECT_TRUE(st.ok()) << st.toString();
+    for (unsigned it = 1; it < w.iterations; ++it) {
+        const support::Status cached = runtime::tryLaunchKernelMixedCached(
+            rt, w.signature, w.units, w.args, report);
+        EXPECT_TRUE(cached.ok()) << cached.toString();
+    }
     if (elapsed)
         *elapsed = device->now() - start;
     return report;
@@ -107,9 +111,8 @@ TEST(MixedVersion, CoversTheWholeWorkload)
 
 TEST(MixedVersion, TypedStatusForCallerErrors)
 {
-    // The mixed launchers are fallible entry points now: caller
-    // errors come back as typed Statuses instead of fatalling, and
-    // the legacy wrappers translate them to the standard exceptions.
+    // The mixed launchers are fallible entry points: caller errors
+    // come back as typed Statuses instead of fatalling.
     auto device = gpuFactory()();
     runtime::Runtime rt(*device);
     Workload w = makeSpmvCsrGpuInputDep(SpmvInput::Random);
@@ -120,9 +123,6 @@ TEST(MixedVersion, TypedStatusForCallerErrors)
                                             4, report)
                   .code(),
               support::StatusCode::NotFound);
-    EXPECT_THROW(runtime::launchKernelMixed(rt, "nope", w.units, w.args,
-                                            4),
-                 std::out_of_range);
 
     // A workload below one safe-point slice cannot profile even a
     // single segment.
@@ -152,8 +152,4 @@ TEST(MixedVersion, TypedStatusForCallerErrors)
                                                   bogus)
                   .code(),
               support::StatusCode::InvalidArgument);
-    EXPECT_THROW(runtime::launchKernelMixedCached(rt, w.signature,
-                                                  w.units, w.args,
-                                                  bogus),
-                 std::invalid_argument);
 }

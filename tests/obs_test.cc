@@ -31,6 +31,7 @@
 #include "support/json.hh"
 #include "support/net/http.hh"
 #include "support/rng.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -205,12 +206,12 @@ TEST(AdminPlane, EveryEndpointAnswersDuringAFaultInjectedStorm)
             kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                           "obs.out");
             for (std::uint64_t j = 0; j < kJobsPerSubmitter; ++j) {
-                Job job;
-                job.signature = sigs[rng.nextBelow(sigs.size())];
-                job.units = kUnits;
-                job.args.add(out).add(
+                JobSpec spec;
+                spec.signature(sigs[rng.nextBelow(sigs.size())])
+                    .units(kUnits);
+                spec.mutableArgs().add(out).add(
                     static_cast<std::int64_t>(kUnits));
-                JobHandle h = svc.submit(std::move(job));
+                JobHandle h = submitOne(svc, spec);
                 (void)h.result(); // closed loop
             }
             submittersDone.fetch_add(1, std::memory_order_release);
@@ -326,12 +327,12 @@ TEST(SelectionAudit, CountersReconcileOneToOneAgainstTracerInstants)
             kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                           "aud.out");
             for (std::uint64_t j = 0; j < kJobsPerSubmitter; ++j) {
-                Job job;
-                job.signature = sigs[rng.nextBelow(sigs.size())];
-                job.units = kUnits;
-                job.args.add(out).add(
+                JobSpec spec;
+                spec.signature(sigs[rng.nextBelow(sigs.size())])
+                    .units(kUnits);
+                spec.mutableArgs().add(out).add(
                     static_cast<std::int64_t>(kUnits));
-                JobHandle h = svc.submit(std::move(job));
+                JobHandle h = submitOne(svc, spec);
                 (void)h.result();
             }
         });
@@ -397,11 +398,10 @@ TEST(SelectionAudit, ShadowProbesNeverPolluteTheDriftBaseline)
     kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                   "drift.out");
     for (unsigned j = 0; j < kWarmHits; ++j) {
-        Job job;
-        job.signature = "drift0";
-        job.units = kUnits;
-        job.args.add(out).add(static_cast<std::int64_t>(kUnits));
-        JobHandle h = svc.submit(std::move(job));
+        JobSpec spec;
+        spec.signature("drift0").units(kUnits);
+        spec.mutableArgs().add(out).add(static_cast<std::int64_t>(kUnits));
+        JobHandle h = submitOne(svc, spec);
         ASSERT_TRUE(h.result().ok()) << h.result().status.toString();
     }
     svc.drain();

@@ -17,6 +17,7 @@
 #include "serve/dispatch_service.hh"
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::predict;
@@ -389,11 +390,10 @@ struct Harness
         kdp::Buffer<std::int32_t> out(units, kdp::MemSpace::Global,
                                       "pk.out");
         out.fill(-1);
-        Job job;
-        job.signature = "pk";
-        job.units = units;
-        job.args.add(out).add(static_cast<std::int64_t>(units));
-        JobResult res = svc.submit(std::move(job)).result();
+        JobSpec spec;
+        spec.signature("pk").units(units);
+        spec.mutableArgs().add(out).add(static_cast<std::int64_t>(units));
+        JobResult res = submitOne(svc, spec).result();
         if (res.ok()) {
             for (std::uint64_t u = 0; u < units; ++u)
                 EXPECT_EQ(out.at(u), static_cast<std::int32_t>(3 * u + 7))
@@ -533,11 +533,10 @@ TEST(PredictService, BelowThresholdFallsBackToProfiling)
     for (int round = 0; round < 2; ++round) {
         kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global,
                                       "pk.out");
-        Job job;
-        job.signature = "pk";
-        job.units = kUnits;
-        job.args.add(out).add(static_cast<std::int64_t>(kUnits));
-        const JobResult res = svc.submit(std::move(job)).result();
+        JobSpec spec;
+        spec.signature("pk").units(kUnits);
+        spec.mutableArgs().add(out).add(static_cast<std::int64_t>(kUnits));
+        const JobResult res = submitOne(svc, spec).result();
         ASSERT_TRUE(res.ok());
         EXPECT_FALSE(res.predicted);
         if (round == 1)

@@ -16,6 +16,7 @@
 
 #include "serve/dispatch_service.hh"
 #include "sim/cpu/cpu_device.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -92,24 +93,22 @@ struct Probe
     }
 };
 
-Job
+JobSpec
 makeJob(Probe &p, std::mutex &mu, std::uint64_t slow_flops = 4000,
         std::uint64_t fast_flops = 100)
 {
-    Job job;
-    job.signature = p.sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.ensureRegistered = [&p, slow_flops,
-                            fast_flops](runtime::Runtime &rt) {
+    JobSpec spec;
+    spec.signature(p.sig).units(p.units).args(p.args);
+    spec.ensureRegistered([&p, slow_flops,
+                           fast_flops](runtime::Runtime &rt) {
         registerPool(rt, p.sig, slow_flops, fast_flops);
-    };
-    job.done = [&p, &mu](const JobResult &r) {
+    });
+    spec.onDone([&p, &mu](const JobResult &r) {
         std::lock_guard<std::mutex> lock(mu);
         p.result = r;
         p.finished = true;
-    };
-    return job;
+    });
+    return spec;
 }
 
 struct ServiceFixture
@@ -146,7 +145,7 @@ TEST(DispatchService, SmokeMatchesSingleRuntime)
         probes.push_back(
             std::make_unique<Probe>("k" + std::to_string(i), units));
     for (auto &p : probes)
-        f.svc.submit(makeJob(*p, f.mu));
+        submitOne(f.svc, makeJob(*p, f.mu));
     f.svc.stop();
 
     for (auto &p : probes) {
@@ -187,14 +186,14 @@ TEST(DispatchService, SecondLaunchWarmStartsFromStore)
 {
     ServiceFixture f;
     Probe first("k", 2048);
-    f.svc.submit(makeJob(first, f.mu));
+    submitOne(f.svc, makeJob(first, f.mu));
     f.svc.drain();
     ASSERT_TRUE(first.result.ok()) << first.result.status.toString();
     EXPECT_FALSE(first.result.warmStart);
     EXPECT_TRUE(first.result.report.profiled);
 
     Probe second("k", 2048);
-    f.svc.submit(makeJob(second, f.mu));
+    submitOne(f.svc, makeJob(second, f.mu));
     f.svc.drain();
     ASSERT_TRUE(second.result.ok()) << second.result.status.toString();
     EXPECT_TRUE(second.result.warmStart);
@@ -216,11 +215,11 @@ TEST(DispatchService, ChangedSizeBucketReprofiles)
 {
     ServiceFixture f;
     Probe small("k", 2048); // bucket 11
-    f.svc.submit(makeJob(small, f.mu));
+    submitOne(f.svc, makeJob(small, f.mu));
     f.svc.drain();
 
     Probe large("k", 8192); // bucket 13: a store miss
-    f.svc.submit(makeJob(large, f.mu));
+    submitOne(f.svc, makeJob(large, f.mu));
     f.svc.drain();
     ASSERT_TRUE(large.result.ok()) << large.result.status.toString();
     EXPECT_FALSE(large.result.warmStart);
@@ -238,7 +237,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
     // throughput baseline.
     for (int i = 0; i < 3; ++i) {
         Probe p("k", 2048);
-        f.svc.submit(makeJob(p, f.mu));
+        submitOne(f.svc, makeJob(p, f.mu));
         f.svc.drain();
         ASSERT_TRUE(p.result.ok()) << p.result.status.toString();
         EXPECT_EQ(p.result.warmStart, i > 0);
@@ -248,7 +247,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
     // slower.  The plain run deviates from the stored baseline beyond
     // the drift factor, quarantining the winner...
     Probe shifted("k", 2048);
-    f.svc.submit(makeJob(shifted, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(shifted, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(shifted.result.ok()) << shifted.result.status.toString();
     EXPECT_TRUE(shifted.result.warmStart); // served before detection
@@ -257,7 +256,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
 
     // ...so the record still serves warm, but with the runner-up.
     Probe fallback("k", 2048);
-    f.svc.submit(makeJob(fallback, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(fallback, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(fallback.result.ok())
         << fallback.result.status.toString();
@@ -269,7 +268,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
 
     // The second cooldown observation invalidates the record...
     Probe cooled("k", 2048);
-    f.svc.submit(makeJob(cooled, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(cooled, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(cooled.result.ok()) << cooled.result.status.toString();
     EXPECT_EQ(f.store.driftInvalidations(), 0u);
@@ -279,7 +278,7 @@ TEST(DispatchService, DriftQuarantinesThenReprofilesAfterCooldown)
     // ...so the next launch re-profiles against the new behaviour,
     // and the once-quarantined pool competes from scratch.
     Probe after("k", 2048);
-    f.svc.submit(makeJob(after, f.mu, 4000, 2000));
+    submitOne(f.svc, makeJob(after, f.mu, 4000, 2000));
     f.svc.drain();
     ASSERT_TRUE(after.result.ok()) << after.result.status.toString();
     EXPECT_FALSE(after.result.warmStart);
@@ -290,9 +289,9 @@ TEST(DispatchService, UnknownSignatureFailsTheJobNotTheService)
 {
     ServiceFixture f;
     Probe bad("unregistered", 2048);
-    Job job = makeJob(bad, f.mu);
-    job.ensureRegistered = nullptr; // nothing registers the kernel
-    f.svc.submit(job);
+    JobSpec job = makeJob(bad, f.mu);
+    job.ensureRegistered(nullptr); // nothing registers the kernel
+    submitOne(f.svc, job);
     f.svc.drain();
     ASSERT_TRUE(bad.finished);
     EXPECT_FALSE(bad.result.ok());
@@ -307,7 +306,7 @@ TEST(DispatchService, UnknownSignatureFailsTheJobNotTheService)
 
     // The worker survives and serves the next job.
     Probe good("k", 2048);
-    f.svc.submit(makeJob(good, f.mu));
+    submitOne(f.svc, makeJob(good, f.mu));
     f.svc.drain();
     ASSERT_TRUE(good.result.ok()) << good.result.status.toString();
 }
@@ -319,14 +318,14 @@ TEST(DispatchService, SubmitBeforeStartThrows)
     svc.addDevice(std::make_unique<sim::CpuDevice>());
     std::mutex mu;
     Probe p("k", 2048);
-    EXPECT_THROW(svc.submit(makeJob(p, mu)), std::logic_error);
+    EXPECT_THROW(submitOne(svc, makeJob(p, mu)), std::logic_error);
 }
 
 TEST(DispatchService, HandleWaitsAndExposesResult)
 {
     ServiceFixture f;
     Probe p("k", 2048);
-    JobHandle h = f.svc.submit(makeJob(p, f.mu));
+    JobHandle h = submitOne(f.svc, makeJob(p, f.mu));
     ASSERT_TRUE(h.valid());
     EXPECT_GT(h.id(), 0u);
     const JobResult &r = h.result(); // blocks until completion
@@ -353,7 +352,7 @@ TEST(DispatchService, DiscardedHandleJobNeverLeaksIntoANewSubmit)
     // and the new job, no longer Queued, never runs.
     ServiceFixture f(1);
     Probe warmup("k", 256);
-    f.svc.submit(makeJob(warmup, f.mu));
+    submitOne(f.svc, makeJob(warmup, f.mu));
     f.svc.drain();
 
     constexpr int rounds = 3000;
@@ -362,15 +361,15 @@ TEST(DispatchService, DiscardedHandleJobNeverLeaksIntoANewSubmit)
         Probe a("k", 256);
         Probe b("k", 256);
         std::atomic<bool> aDone{false};
-        Job ja = makeJob(a, f.mu);
-        ja.done = [&aDone](const JobResult &) {
+        JobSpec ja = makeJob(a, f.mu);
+        ja.onDone([&aDone](const JobResult &) {
             aDone.store(true, std::memory_order_release);
-        };
-        Job jb = makeJob(b, f.mu);
-        f.svc.submit(std::move(ja)); // handle discarded
+        });
+        JobSpec jb = makeJob(b, f.mu);
+        submitOne(f.svc, ja); // handle discarded
         while (!aDone.load(std::memory_order_acquire)) {
         }
-        JobHandle hb = f.svc.submit(std::move(jb));
+        JobHandle hb = submitOne(f.svc, jb);
         const JobResult &r = hb.result();
         const bool sameId = r.id == hb.id();
         const bool ran = r.ok();
@@ -396,16 +395,16 @@ TEST(DispatchService, CancelPendingJobBeforeDispatch)
     // Job 1 parks the single worker inside ensureRegistered, so job 2
     // is guaranteed to still be queued when it is cancelled.
     Probe blocker("k", 2048);
-    Job job1 = makeJob(blocker, f.mu);
-    auto inner = job1.ensureRegistered;
-    job1.ensureRegistered = [inner, released](runtime::Runtime &rt) {
+    JobSpec job1 = makeJob(blocker, f.mu);
+    auto inner = job1.job().ensureRegistered;
+    job1.ensureRegistered([inner, released](runtime::Runtime &rt) {
         released.wait();
         inner(rt);
-    };
-    JobHandle h1 = f.svc.submit(std::move(job1));
+    });
+    JobHandle h1 = submitOne(f.svc, job1);
 
     Probe victim("k", 2048);
-    JobHandle h2 = f.svc.submit(makeJob(victim, f.mu));
+    JobHandle h2 = submitOne(f.svc, makeJob(victim, f.mu));
     EXPECT_TRUE(h2.cancel());
     EXPECT_FALSE(h2.cancel()); // idempotence: already cancelled
     EXPECT_TRUE(h2.done());
@@ -432,7 +431,7 @@ TEST(DispatchService, MetricsExportCoversJobsAndStore)
     ServiceFixture f;
     for (int i = 0; i < 2; ++i) {
         Probe p("k", 2048);
-        f.svc.submit(makeJob(p, f.mu));
+        submitOne(f.svc, makeJob(p, f.mu));
         f.svc.drain();
     }
     const std::string text = f.svc.metrics().renderText();

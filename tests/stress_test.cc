@@ -25,6 +25,7 @@
 #include "sim/cpu/cpu_device.hh"
 #include "sim/fault.hh"
 #include "support/rng.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -162,18 +163,19 @@ TEST(StressSoak, SixteenSubmittersAgainstFourFaultyDevices)
             };
 
             for (std::uint64_t j = 0; j < kJobsPerSubmitter; ++j) {
-                Job job;
-                job.signature = sigs[rng.nextBelow(sigs.size())];
+                JobSpec spec;
+                spec.signature(sigs[rng.nextBelow(sigs.size())]);
                 const std::uint64_t units = kBaseUnits
                                             << rng.nextBelow(3);
-                job.units = units;
-                job.args.add(outs[window.size()])
+                spec.units(units);
+                spec.mutableArgs()
+                    .add(outs[window.size()])
                     .add(static_cast<std::int64_t>(units));
-                job.done = [&cbMu, &tally](const JobResult &r) {
+                spec.onDone([&cbMu, &tally](const JobResult &r) {
                     std::lock_guard<std::mutex> lock(cbMu);
                     tally.callbackIds.push_back(r.id);
-                };
-                window.push_back(svc.submit(std::move(job)));
+                });
+                window.push_back(submitOne(svc, spec));
 
                 // Occasionally try to withdraw the job just queued;
                 // a won race must terminate it as Cancelled.

@@ -30,6 +30,7 @@
 #include "support/metrics.hh"
 #include "support/tracing/flight_recorder.hh"
 #include "support/tracing/tracer.hh"
+#include "submit_one.hh"
 
 using namespace dysel;
 using namespace dysel::serve;
@@ -119,18 +120,15 @@ struct Probe
     }
 };
 
-Job
+JobSpec
 stormJob(Probe &p, const std::string &sig, float marker)
 {
-    Job job;
-    job.signature = sig;
-    job.units = p.units;
-    job.args = p.args;
-    job.opt = guardedOpt();
-    job.ensureRegistered = [&p, sig, marker](runtime::Runtime &rt) {
+    JobSpec spec;
+    spec.signature(sig).units(p.units).args(p.args).options(guardedOpt());
+    spec.ensureRegistered([&p, sig, marker](runtime::Runtime &rt) {
         registerPool(rt, sig, marker);
-    };
-    return job;
+    });
+    return spec;
 }
 
 /** Events of @p name carrying correlation @p cid. */
@@ -300,7 +298,7 @@ TEST(TracingService, CorrelationIdPropagatesServiceToRuntimeToDevice)
     svc.start();
 
     Probe p(2048);
-    JobHandle h = svc.submit(stormJob(p, "k", 5.0f));
+    JobHandle h = submitOne(svc, stormJob(p, "k", 5.0f));
     const JobResult r = h.result();
     ASSERT_TRUE(r.ok()) << r.status.toString();
     svc.stop();
@@ -353,7 +351,7 @@ TEST(TracingService, DeterministicStormLifecycleUnderOneCorrelationId)
     svc.start();
 
     Probe p(2048);
-    JobHandle h = svc.submit(stormJob(p, "k", 5.0f));
+    JobHandle h = submitOne(svc, stormJob(p, "k", 5.0f));
     const JobResult r = h.result();
     ASSERT_TRUE(r.ok()) << r.status.toString();
     EXPECT_EQ(r.attempts, 2u);
@@ -434,7 +432,7 @@ TEST(TracingService, FailingJobCarriesFlightRecorderPayload)
     svc.start();
 
     Probe p(2048);
-    JobHandle h = svc.submit(stormJob(p, "k", 5.0f));
+    JobHandle h = submitOne(svc, stormJob(p, "k", 5.0f));
     const JobResult r = h.result();
     svc.stop();
 
@@ -456,7 +454,7 @@ TEST(TracingService, FailingJobCarriesFlightRecorderPayload)
     DispatchService svc2(store2);
     svc2.addDevice(std::make_unique<sim::CpuDevice>());
     svc2.start();
-    const JobResult ok = svc2.submit(stormJob(p2, "k", 5.0f)).result();
+    const JobResult ok = submitOne(svc2, stormJob(p2, "k", 5.0f)).result();
     svc2.stop();
     ASSERT_TRUE(ok.ok());
     EXPECT_FALSE(ok.status.hasPayload());
@@ -538,7 +536,7 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
     svc.start();
 
     Probe p1(2048);
-    JobHandle h1 = svc.submit(stormJob(p1, "k", 5.0f));
+    JobHandle h1 = submitOne(svc, stormJob(p1, "k", 5.0f));
     const JobResult r1 = h1.result();
     ASSERT_TRUE(r1.ok()) << r1.status.toString();
     EXPECT_FALSE(r1.predicted);
@@ -546,7 +544,7 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
 
     store.clear();
     Probe p2(2048);
-    JobHandle h2 = svc.submit(stormJob(p2, "k", 5.0f));
+    JobHandle h2 = submitOne(svc, stormJob(p2, "k", 5.0f));
     const JobResult r2 = h2.result();
     ASSERT_TRUE(r2.ok()) << r2.status.toString();
     EXPECT_TRUE(r2.predicted);
@@ -555,7 +553,7 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
     store.clear();
     faults.failNext();
     Probe p3(2048);
-    JobHandle h3 = svc.submit(stormJob(p3, "k", 5.0f));
+    JobHandle h3 = submitOne(svc, stormJob(p3, "k", 5.0f));
     const JobResult r3 = h3.result();
     ASSERT_TRUE(r3.ok()) << r3.status.toString();
     EXPECT_EQ(r3.attempts, 2u);
