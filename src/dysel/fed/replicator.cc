@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include <unistd.h>
 
@@ -65,6 +66,29 @@ splitTarget(const std::string &target, std::string &path,
     }
 }
 
+/** Every fed.* family the replicator counts, with its HELP text. */
+constexpr std::pair<const char *, const char *> fedCounters[] = {
+    {"fed.pull", "Anti-entropy delta pulls attempted."},
+    {"fed.pull_fail", "Delta pulls that failed or got a non-200 reply."},
+    {"fed.delta_invalid", "Pulled deltas rejected as malformed."},
+    {"fed.apply_record", "Remote records merged into the store."},
+    {"fed.apply_blacklist", "Remote blacklist entries merged."},
+    {"fed.apply_extension", "Remote store extensions merged."},
+    {"fed.stale", "Remote items older than the local copy."},
+    {"fed.delta_serve", "Deltas served to pulling peers."},
+    {"fed.own_local", "Cold misses on owned keys profiled locally."},
+    {"fed.own_parked", "Cold misses on owned keys parked behind a "
+                       "peer's lease."},
+    {"fed.own_takeover", "Owned keys taken back after a lease expired."},
+    {"fed.warm", "Cold misses resolved warm from a replicated record."},
+    {"fed.lease_granted", "Profiling leases the owner granted us."},
+    {"fed.parked", "Lease polls answered with wait."},
+    {"fed.fallback", "Cold misses that fell back to local profiling."},
+    {"fed.lease_record", "Lease requests answered with the record."},
+    {"fed.lease_wait", "Lease requests answered with wait."},
+    {"fed.lease_grant", "Profiling leases granted to peers."},
+};
+
 } // namespace
 
 Replicator::Replicator(store::SelectionStore &store,
@@ -107,6 +131,9 @@ Replicator::bindMetrics(support::MetricsRegistry *reg)
 {
     std::lock_guard<std::mutex> lock(regMu);
     reg_ = reg;
+    if (reg_)
+        for (const auto &[name, help] : fedCounters)
+            reg_->counter(name, help);
 }
 
 void

@@ -90,7 +90,10 @@ class Replicator
 
     const ReplicatorConfig &config() const { return cfg_; }
 
-    /** Counters land here when set (fed.* namespace). */
+    /**
+     * Counters land here when set (fed.* namespace); binding registers
+     * every fed.* family with its HELP text.
+     */
     void bindMetrics(support::MetricsRegistry *reg);
 
     /** Spawn the anti-entropy thread.  Idempotent. */

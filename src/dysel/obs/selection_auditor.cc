@@ -2,22 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace dysel {
 namespace obs {
-
-namespace {
-
-std::string
-fractionStr(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.4f", v);
-    return buf;
-}
-
-} // namespace
 
 std::uint64_t
 AuditConfig::stride() const
@@ -63,15 +50,8 @@ AuditConfig::validate() const
 }
 
 SelectionAuditor::SelectionAuditor(store::SelectionStore &store,
-                                   support::MetricsRegistry &metrics,
-                                   support::tracing::Tracer *tracer,
                                    AuditConfig cfg)
-    : store_(store), metrics_(metrics), tracer_(tracer),
-      cfg_(std::move(cfg)),
-      samplesCounter(&metrics.counter("audit.samples")),
-      demotionsCounter(&metrics.counter("audit.demotions")),
-      probeFailedCounter(&metrics.counter("audit.probe_failed")),
-      regretHist(&metrics.histogram("audit.regret_pct"))
+    : store_(store), cfg_(std::move(cfg))
 {
     cfg_.validate().throwIfError();
 }
@@ -93,8 +73,8 @@ SelectionAuditor::ingest(const AuditSample &sample)
     if (sample.winnerUnitNs <= 0 || sample.runnerUpUnitNs <= 0) {
         // Degenerate measurement (zero-length probe): treat as a
         // failed probe rather than scoring garbage.
-        noteProbeFailure(sample.traceTrack, sample.jobId, sample.nowNs,
-                         sample.signature);
+        noteProbeFailure();
+        verdict.probeFailed = true;
         return verdict;
     }
     const double best =
@@ -127,55 +107,21 @@ SelectionAuditor::ingest(const AuditSample &sample)
             demotions_++;
     }
 
-    samplesCounter->inc();
-    regretHist->observe(verdict.regret * 100.0);
-    if (tracer_ && tracer_->enabled()) {
-        tracer_->instant(
-            sample.traceTrack, "audit.sample", sample.nowNs,
-            sample.jobId,
-            {{"signature", sample.signature},
-             {"winner", sample.winner},
-             {"runner_up", sample.runnerUp},
-             {"regret", fractionStr(verdict.regret)},
-             {"ema", fractionStr(verdict.keyEma)}});
-    }
-
     if (verdict.demoted) {
         // The existing quarantine path: the record serves its
         // runner-up for a cooldown, then re-profiles.  Called outside
         // the auditor lock -- the store fires observers of its own.
-        const store::Observation obs = store_.reportFailure(
+        verdict.observation = store_.reportFailure(
             sample.signature, sample.device, sample.units);
-        demotionsCounter->inc();
-        if (tracer_ && tracer_->enabled()) {
-            tracer_->instant(
-                sample.traceTrack, "audit.demoted", sample.nowNs,
-                sample.jobId,
-                {{"signature", sample.signature},
-                 {"winner", sample.winner},
-                 {"runner_up", sample.runnerUp},
-                 {"ema", fractionStr(verdict.keyEma)},
-                 {"observation", store::observationName(obs)}});
-        }
     }
     return verdict;
 }
 
 void
-SelectionAuditor::noteProbeFailure(std::uint64_t traceTrack,
-                                   std::uint64_t jobId,
-                                   std::uint64_t nowNs,
-                                   const std::string &signature)
+SelectionAuditor::noteProbeFailure()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        probeFailures_++;
-    }
-    probeFailedCounter->inc();
-    if (tracer_ && tracer_->enabled()) {
-        tracer_->instant(traceTrack, "audit.probe_failed", nowNs, jobId,
-                         {{"signature", signature}});
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    probeFailures_++;
 }
 
 std::uint64_t

@@ -17,15 +17,15 @@
  * runner-up and eventually forces a re-profile.
  *
  * Sampling is stride-based (every round(1/rate)-th eligible hit),
- * not random: the audit.samples counter and the audit.sample tracer
- * instants then reconcile exactly 1:1, which is what the
- * observability test suite asserts.
+ * not random, so a run's sample count is deterministic.
  *
  * Thread-safety: shouldSample()/ingest()/noteProbeFailure() may be
- * called from any worker thread; per-key state is mutex-protected,
- * counter updates are atomic.  The probes themselves are run by the
- * caller (the dispatch service, on the runtime it already owns) --
- * the auditor only decides, scores, and accounts.
+ * called from any worker thread; per-key state is mutex-protected.
+ * The probes themselves are run by the caller (the dispatch service,
+ * on the runtime it already owns), and so is the telemetry: the
+ * auditor only decides, scores, and keeps its own totals; the caller
+ * emits the audit.* counters, histogram and trace instants from the
+ * returned verdict.
  */
 #pragma once
 
@@ -34,12 +34,11 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "dysel/store/selection_store.hh"
 #include "support/json.hh"
-#include "support/metrics.hh"
 #include "support/status.hh"
-#include "support/tracing/tracer.hh"
 
 namespace dysel {
 namespace obs {
@@ -100,11 +99,6 @@ struct AuditSample
     std::string runnerUp; ///< best stored alternative probed
     double winnerUnitNs = 0;   ///< probe per-unit time of the winner
     double runnerUpUnitNs = 0; ///< probe per-unit time of the runner-up
-
-    /** Trace correlation (the audited job). */
-    std::uint64_t traceTrack = 0;
-    std::uint64_t jobId = 0;
-    std::uint64_t nowNs = 0; ///< device clock for the instant
 };
 
 /** What ingest() concluded. */
@@ -114,6 +108,10 @@ struct AuditVerdict
     double keyEma = 0;        ///< key EMA after the update
     std::uint64_t keySamples = 0; ///< key samples since last demotion
     bool demoted = false;     ///< the key was quarantined
+    /** What the store's quarantine did (when demoted). */
+    store::Observation observation = store::Observation::Ok;
+    /** Degenerate measurement: counted as a failed probe, unscored. */
+    bool probeFailed = false;
 };
 
 /**
@@ -123,9 +121,7 @@ struct AuditVerdict
 class SelectionAuditor
 {
   public:
-    SelectionAuditor(store::SelectionStore &store,
-                     support::MetricsRegistry &metrics,
-                     support::tracing::Tracer *tracer, AuditConfig cfg);
+    SelectionAuditor(store::SelectionStore &store, AuditConfig cfg);
 
     const AuditConfig &config() const { return cfg_; }
 
@@ -136,20 +132,17 @@ class SelectionAuditor
     bool shouldSample();
 
     /**
-     * Score one probe pair: update the key's regret EMA, account the
-     * audit.samples counter / audit.regret_pct histogram, emit the
-     * job-correlated audit.sample instant, and -- when the EMA stays
-     * above the threshold with enough samples -- demote the key via
-     * SelectionStore::reportFailure (audit.demotions counter +
-     * audit.demoted instant).  A demotion resets the key's EMA so the
-     * post-quarantine selection is judged fresh.
+     * Score one probe pair: update the key's regret EMA and -- when
+     * the EMA stays above the threshold with enough samples -- demote
+     * the key via SelectionStore::reportFailure.  A demotion resets
+     * the key's EMA so the post-quarantine selection is judged fresh.
+     * A degenerate pair (a zero-length probe) is counted as a failed
+     * probe and left unscored (verdict.probeFailed).
      */
     AuditVerdict ingest(const AuditSample &sample);
 
-    /** A probe launch failed: account it without scoring. */
-    void noteProbeFailure(std::uint64_t traceTrack, std::uint64_t jobId,
-                          std::uint64_t nowNs,
-                          const std::string &signature);
+    /** A probe launch failed: count it without scoring. */
+    void noteProbeFailure();
 
     /** Lifetime totals. */
     std::uint64_t samples() const;
@@ -176,15 +169,7 @@ class SelectionAuditor
     using Key = std::tuple<std::string, std::string, unsigned>;
 
     store::SelectionStore &store_;
-    support::MetricsRegistry &metrics_;
-    support::tracing::Tracer *tracer_;
     AuditConfig cfg_;
-
-    /** Cached metric handles (stable addresses). */
-    support::Counter *samplesCounter;
-    support::Counter *demotionsCounter;
-    support::Counter *probeFailedCounter;
-    support::Histogram *regretHist;
 
     std::atomic<std::uint64_t> eligible_{0}; ///< stride input
 

@@ -19,18 +19,6 @@ devKey(unsigned idx)
     return "dev" + std::to_string(idx);
 }
 
-/**
- * Canonical per-device metric name (DESIGN §7): a shared family name
- * plus a device label, e.g. `device.jobs{device="dev0"}`, replacing
- * the old ad-hoc "dev0.jobs" dotted prefixes.
- */
-std::string
-devMetric(const char *family, unsigned idx)
-{
-    return support::MetricsRegistry::labeled(family, "device",
-                                             devKey(idx));
-}
-
 bool
 contains(const std::vector<unsigned> &v, unsigned x)
 {
@@ -89,12 +77,13 @@ wallNowNs()
             .count());
 }
 
-/** Fixed-precision rendering of a confidence (trace attributes). */
+/** Fixed-precision rendering of a confidence or regret (trace
+ * attributes). */
 std::string
-confStr(double c)
+fixedStr(double v, int digits)
 {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%.3f", c);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
     return buf;
 }
 
@@ -132,18 +121,26 @@ publishDone(std::shared_ptr<detail::JobState> state, JobResult res)
     state.reset();
 }
 
-/**
- * The worker currently driving this thread, for observers that fire
- * from inside store calls (e.g. the predicted-selection demotion
- * feed): runJob() stamps these so the observer can emit a tracer
- * instant on the right track, with the right device clock, correlated
- * to the job that triggered the demotion.
- */
-thread_local std::uint64_t tlJobId = 0;
-thread_local std::uint64_t tlTraceTrack = 0;
-thread_local sim::Device *tlDevice = nullptr;
+/** The guard.<check> row of a guard detection. */
+Event
+guardCheckEvent(const std::string &check)
+{
+    const std::size_t row = findEvent("guard." + check);
+    if (row == eventCount)
+        support::panic("guard check '%s' has no event row",
+                       check.c_str());
+    return static_cast<Event>(row);
+}
 
 } // namespace
+
+/**
+ * Set for the life of each worker thread: observers that fire from
+ * inside store calls (the predictor feeds) find the worker, and with it
+ * the job, track and clock their events belong to.
+ */
+thread_local DispatchService::Worker *DispatchService::currentWorker =
+    nullptr;
 
 support::Status
 ServiceConfig::validate() const
@@ -236,25 +233,10 @@ DispatchService::DispatchService(store::SelectionStore &st,
     : store_(st), config(cfg), batcher(cfg.batch)
 {
     config.validate().throwIfError();
-    // Hot-path metric handles are resolved once; the registry hands
-    // out stable references, so per-job increments skip the name
-    // formatting and map lookup entirely.
-    submittedCounter = &reg.counter("jobs.submitted");
-    completedCounter = &reg.counter("jobs.completed");
-    failedCounter = &reg.counter("jobs.failed");
-    cancelledCounter = &reg.counter("jobs.cancelled");
-    storeHitCounter = &reg.counter("store.hit");
-    storeMissCounter = &reg.counter("store.miss");
-    batchLaunchCounter = &reg.counter("batch.launches");
-    batchJobsCounter = &reg.counter("batch.jobs");
-    batchDemotedCounter = &reg.counter("batch.demoted");
-    batchSizeHist = &reg.histogram("batch.size");
-    deviceNsHist = &reg.histogram("job.device_ns");
-    attemptsHist = &reg.histogram("job.attempts");
-    backoffHist = &reg.histogram("job.backoff_ns");
+    resolveHandles(handles_, "");
     if (config.audit.enabled())
-        auditor_ = std::make_unique<obs::SelectionAuditor>(
-            store_, reg, &tracer_, config.audit);
+        auditor_ = std::make_unique<obs::SelectionAuditor>(store_,
+                                                           config.audit);
 }
 
 DispatchService::~DispatchService()
@@ -284,7 +266,7 @@ DispatchService::setPredictor(predict::SelectionPredictor *predictor)
     // records becomes one online training example.
     store_.setProfileObserver([this](const store::SelectionRecord &rec) {
         predictor_->observeProfile(rec);
-        reg.counter("predict.train").inc();
+        emit(currentWorker, event("predict.train"), 0);
     });
     // The corrective feed: a predicted selection that drifted,
     // failed, or got blacklisted is demoted back to a forced profile;
@@ -294,16 +276,11 @@ DispatchService::setPredictor(predict::SelectionPredictor *predictor)
         [this](const store::SelectionRecord &rec) {
             predictor_->observeDemotion(rec.signature, rec.device,
                                         rec.bucket);
-            reg.counter("predict.demoted").inc();
-            if (tracer_.enabled() && tlDevice) {
-                tracer_.instant(
-                    tlTraceTrack, "predict.demoted", tlDevice->now(),
-                    tlJobId,
-                    {{"signature", rec.signature},
-                     {"variant", rec.selectedName},
-                     {"confidence",
-                      confStr(rec.predictedConfidence)}});
-            }
+            Worker *w = currentWorker;
+            emit(w, event("predict.demoted"), w ? w->currentJob : 0, 1,
+                 {{"signature", rec.signature},
+                  {"variant", rec.selectedName},
+                  {"confidence", fixedStr(rec.predictedConfidence, 3)}});
         });
 }
 
@@ -339,11 +316,7 @@ DispatchService::addDevice(std::unique_ptr<sim::Device> device)
     w->traceTrack = tracer_.track(trackName);
     w->rt->setTracer(&tracer_, trackName);
 
-    w->jobsCounter = &reg.counter(devMetric("device.jobs", idx));
-    w->storeHitsCounter =
-        &reg.counter(devMetric("device.store_hits", idx));
-    w->profiledCounter = &reg.counter(devMetric("device.profiled", idx));
-    w->latencyHist = &reg.histogram(devMetric("device.latency_ns", idx));
+    resolveHandles(w->handles, devKey(idx));
 
     // Feed the store from every launch on this runtime: profiled
     // launches refresh their record, plain cache-served launches
@@ -355,37 +328,39 @@ DispatchService::addDevice(std::unique_ptr<sim::Device> device)
     // excluded too: a tiny forced-variant slice carries non-amortized
     // launch overhead, and the auditor does its own accounting.
     w->rt->setLaunchObserver(
-        [this, fp = w->fingerprint](const runtime::LaunchReport &r) {
+        [this, w = w.get()](const runtime::LaunchReport &r) {
+            const std::uint64_t job = w->currentJob;
             if (r.profiled) {
-                // tlJobId doubles as the launch's trace correlation
+                // The job id doubles as the launch's trace correlation
                 // id; stamping it into the record lets a follower
                 // replica's warm hit trace back to this profiling
                 // pass (DESIGN §13).
-                store_.recordProfile(fp, r, tlJobId);
-                reg.counter("store.record").inc();
+                store_.recordProfile(w->fingerprint, r, job);
+                emit(w, event("store.record"), job);
             } else if (r.fromCache && !r.fused && !r.shadow) {
-                noteObservation(store_.observePlain(fp, r), r.signature);
+                noteObservation(*w, store_.observePlain(w->fingerprint, r),
+                                r.signature);
             }
             // Guard telemetry: one "guard.<check>" count per
             // detection, reconcilable 1:1 with the fault injector's
             // variant-fault log.
             for (const auto &ev : r.guardEvents)
-                reg.counter("guard." + ev.check).inc();
+                emit(w, guardCheckEvent(ev.check), job);
             if (r.guardExcluded > 0)
-                reg.counter("guard.excluded").inc(r.guardExcluded);
+                emit(w, event("guard.excluded"), job, r.guardExcluded);
             if (r.guardRepairs > 0)
-                reg.counter("guard.repair").inc(r.guardRepairs);
+                emit(w, event("guard.repair"), job, r.guardRepairs);
         });
 
     // Persist guard blacklistings: a variant that struck out on this
     // device is recorded in the store under the device fingerprint,
     // so it is never re-served -- across restarts included.
     w->rt->guard().setBlacklistObserver(
-        [this, fp = w->fingerprint](const std::string &sig,
-                                    const std::string &variant,
-                                    const std::string &reason) {
-            store_.blacklistVariant(sig, variant, fp, reason);
-            reg.counter("guard.blacklist").inc();
+        [this, w = w.get()](const std::string &sig,
+                            const std::string &variant,
+                            const std::string &reason) {
+            store_.blacklistVariant(sig, variant, w->fingerprint, reason);
+            emit(w, event("guard.blacklist"), w->currentJob);
         });
 
     // Kernel pools registered before this device existed still apply
@@ -460,7 +435,7 @@ DispatchService::applyPendingInstallers(unsigned idx)
         try {
             installers[w.installersApplied](*w.rt);
         } catch (const std::exception &e) {
-            reg.counter("pool.install_failed").inc();
+            emit(&w, event("pool.install_failed"), 0);
             support::warn("kernel-pool installer failed on %s: %s",
                           w.dev->name().c_str(), e.what());
         }
@@ -593,19 +568,19 @@ DispatchService::breakerObserve(unsigned idx, bool deviceFault)
         if (w.breakerOpen) {
             // The half-open probe failed: re-arm the cooldown.
             w.breakerCooldownLeft = config.breakerCooldown;
-            reg.counter("breaker.reopens").inc();
+            emit(&w, event("breaker.reopens"), 0);
         } else if (w.consecFailures >= config.breakerThreshold) {
             w.breakerOpen = true;
             w.breakerCooldownLeft = config.breakerCooldown;
-            reg.counter("breaker.trips").inc();
-            reg.counter(devMetric("device.breaker_trips", idx)).inc();
+            emit(&w, event("breaker.trips"), 0);
+            emit(&w, event("device.breaker_trips"), 0);
         }
     } else {
         w.consecFailures = 0;
         if (w.breakerOpen) {
             w.breakerOpen = false;
             w.breakerCooldownLeft = 0;
-            reg.counter("breaker.closes").inc();
+            emit(&w, event("breaker.closes"), 0);
         }
     }
 }
@@ -660,7 +635,7 @@ DispatchService::submitMany(std::span<const JobSpec> specs,
     routes.clear();
     for (const JobSpec &spec : specs)
         routes.push_back(route(spec.job_.signature, kNoExclusions));
-    submittedCounter->inc(specs.size());
+    emit(nullptr, event("jobs.submitted"), 0, specs.size());
 
     // Rejected jobs (shed on a full queue, or refused because the
     // service is stopping) are recorded here and completed only after
@@ -702,15 +677,14 @@ DispatchService::submitMany(std::span<const JobSpec> specs,
                     // Backpressure: block the submitter until the
                     // shard has room (the worker notifies spaceCv on
                     // every pop and batch gather).
-                    reg.counter("admission.blocked").inc();
+                    emit(&w, event("admission.blocked"), id);
                     const std::uint64_t t0 = wallNowNs();
                     w.spaceCv.wait(lock, [&] {
                         return w.queue.size() < config.maxQueueDepth
                                || stopping.load(
                                    std::memory_order_acquire);
                     });
-                    reg.histogram("admission.block_ns")
-                        .observe(
+                    observe(w, event("admission.block_ns"),
                             static_cast<double>(wallNowNs() - t0));
                     if (stopping.load(std::memory_order_acquire)) {
                         // Woken by stop(): the worker may already
@@ -750,25 +724,18 @@ DispatchService::submitMany(std::span<const JobSpec> specs,
         res.deviceName = w.dev->name();
         res.attempts = 0;
         if (r.stopping) {
-            reg.counter("admission.stopped").inc();
+            emit(&w, event("admission.stopped"), state->id);
             res.status = support::Status::unavailable(
                 "job " + std::to_string(state->id)
                 + " rejected: service stopping");
         } else {
-            reg.counter("admission.shed").inc();
-            reg.counter(devMetric("device.shed", r.shard)).inc();
+            emit(&w, event("admission.shed"), state->id, 1,
+                 {{"depth", std::to_string(config.maxQueueDepth)}});
+            emit(&w, event("device.shed"), state->id);
             res.status = support::Status::resourceExhausted(
                 "dispatch queue of " + devKey(r.shard) + " is full ("
                 + std::to_string(config.maxQueueDepth) + " jobs); job "
                 + std::to_string(state->id) + " shed");
-            if (tracer_.enabled()) {
-                tracer_.instant(
-                    w.traceTrack, "admission.shed",
-                    w.clockNs.load(std::memory_order_relaxed),
-                    state->id,
-                    {{"depth",
-                      std::to_string(config.maxQueueDepth)}});
-            }
         }
         if (specs[r.spec].job_.done)
             specs[r.spec].job_.done(res);
@@ -815,7 +782,7 @@ DispatchService::claim(unsigned idx, detail::QueuedJob &qj)
     int expected = detail::JobState::Queued;
     if (!qj.state->phase.compare_exchange_strong(
             expected, detail::JobState::Running)) {
-        cancelledCounter->inc();
+        emit(&w, event("jobs.cancelled"), qj.job.id);
         if (qj.job.done) {
             JobResult res;
             {
@@ -843,6 +810,7 @@ void
 DispatchService::workerLoop(unsigned idx)
 {
     Worker &w = *workers[idx];
+    currentWorker = &w;
     for (;;) {
         detail::QueuedJob qj;
         {
@@ -871,9 +839,9 @@ DispatchService::workerLoop(unsigned idx)
 
         if (!claim(idx, qj))
             continue;
-        w.flight.record(w.dev->now(), qj.job.id, "claim",
-                        "dev=" + w.dev->name() + " attempt="
-                            + std::to_string(qj.attempt + 1));
+        emit(&w, event("claim"), qj.job.id, 1,
+             {{"dev", w.dev->name()},
+              {"attempt", std::to_string(qj.attempt + 1)}});
 
         if (config.batch.enabled() && tryRunBatch(idx, qj))
             continue;
@@ -994,17 +962,11 @@ DispatchService::runBatch(unsigned idx,
     opt.correlationId = head.job.id;
     opt.profiling = false;
 
-    w.flight.record(w.dev->now(), head.job.id, "batch",
-                    "jobs=" + std::to_string(n) + " sig=" + sig
-                        + (warm ? " warm" : " cold"));
-    if (tracer_.enabled()) {
-        tracer_.instant(
-            w.traceTrack, "batch.gather", w.dev->now(), head.job.id,
-            {{"signature", sig},
-             {"jobs", std::to_string(n)},
-             {"units", std::to_string(totalUnits)},
-             {"warm", warm ? "yes" : "no"}});
-    }
+    emit(&w, event("batch.gather"), headId, 1,
+         {{"signature", sig},
+          {"jobs", std::to_string(n)},
+          {"units", std::to_string(totalUnits)},
+          {"warm", warm ? "yes" : "no"}});
 
     const sim::TimeNs before = w.dev->now();
     runtime::LaunchReport report;
@@ -1022,18 +984,10 @@ DispatchService::runBatch(unsigned idx,
         // per-job retry machinery on its solo runs.
         const support::StatusCode code = st.code();
         breakerObserve(idx, isDeviceFault(code));
-        batchDemotedCounter->inc(n);
-        if (tracer_.enabled()) {
-            tracer_.instant(
-                w.traceTrack, "batch.demoted", w.dev->now(),
-                head.job.id,
-                {{"signature", sig},
-                 {"jobs", std::to_string(n)},
-                 {"code", support::statusCodeName(code)}});
-        }
-        w.flight.record(w.dev->now(), head.job.id, "batch.demote",
-                        "jobs=" + std::to_string(n) + " "
-                            + st.toString());
+        emit(&w, event("batch.demoted"), headId, n,
+             {{"signature", sig},
+              {"jobs", std::to_string(n)},
+              {"code", support::statusCodeName(code)}});
         {
             std::lock_guard<std::mutex> lock(w.qmu);
             for (detail::QueuedJob &m : members) {
@@ -1055,17 +1009,18 @@ DispatchService::runBatch(unsigned idx,
     }
 
     // Success: one fused launch served n jobs.
-    batchLaunchCounter->inc();
-    batchJobsCounter->inc(n);
-    batchSizeHist->observe(static_cast<double>(n));
+    emit(&w, event("batch.launches"), headId);
+    emit(&w, event("batch.jobs"), headId, n);
+    observe(w, event("batch.size"), static_cast<double>(n));
     if (warm) {
         store_.noteServed(sig, w.fingerprint, head.job.units, n);
-        storeHitCounter->inc(n);
-        w.storeHitsCounter->inc(n);
+        emit(&w, event("store.hit"), headId, n,
+             {{"variant", rec->selectedName}});
+        emit(&w, event("device.store_hits"), headId, n);
     } else {
         // Sub-threshold jobs never produce a record; they still count
         // as misses so hit-rate accounting matches the solo path.
-        storeMissCounter->inc(n);
+        emit(&w, event("store.miss"), headId, n);
     }
     breakerObserve(idx, false);
     if (config.affinity && warm) {
@@ -1104,7 +1059,7 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
     const support::StatusCode launchCode = res.status.code();
     if (launchCode == support::StatusCode::DeadlineExceeded) {
         // A hung device timed the attempt out.
-        reg.counter("recover.timeouts").inc();
+        emit(&w, event("recover.timeouts"), qj.job.id);
     }
 
     bool retry = false;
@@ -1120,7 +1075,7 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
             res.status = support::Status::deadlineExceeded(
                 "job " + std::to_string(qj.job.id)
                 + " out of retry budget: " + res.status.message());
-            reg.counter("recover.timeouts").inc();
+            emit(&w, event("recover.timeouts"), qj.job.id);
         }
     }
     breakerObserve(idx, isDeviceFault(launchCode));
@@ -1142,18 +1097,12 @@ DispatchService::completeSolo(unsigned idx, detail::QueuedJob &qj,
         qj.job.signature,
         qj.excluded.size() >= workers.size() ? kNoExclusions
                                              : qj.excluded);
-    reg.counter("recover.retries").inc();
-    reg.counter(devMetric("device.retries_out", idx)).inc();
-    if (tracer_.enabled()) {
-        tracer_.instant(
-            w.traceTrack, "retry", w.dev->now(), qj.job.id,
-            {{"from", devKey(idx)},
-             {"to", devKey(target)},
-             {"attempt", std::to_string(qj.attempt + 1)},
-             {"code", support::statusCodeName(res.status.code())}});
-    }
-    w.flight.record(w.dev->now(), qj.job.id, "retry",
-                    "to=" + devKey(target) + " " + res.status.toString());
+    emit(&w, event("recover.retries"), qj.job.id, 1,
+         {{"from", devKey(idx)},
+          {"to", devKey(target)},
+          {"attempt", std::to_string(qj.attempt + 1)},
+          {"code", support::statusCodeName(launchCode)}});
+    emit(&w, event("device.retries_out"), qj.job.id);
     // Retries bypass admission: the job is already admitted, and a
     // worker thread must never block on a full shard.
     enqueue(target, std::move(qj));
@@ -1168,11 +1117,12 @@ DispatchService::complete(unsigned idx, detail::QueuedJob &qj,
     if (res.ok()) {
         // The launch succeeded: the device served it, even when the
         // job then turns out to have overrun its deadline.
-        w.jobsCounter->inc();
-        deviceNsHist->observe(static_cast<double>(res.deviceTimeNs));
-        w.latencyHist->observe(static_cast<double>(res.deviceTimeNs));
+        const auto deviceNs = static_cast<double>(res.deviceTimeNs);
+        emit(&w, event("device.jobs"), qj.job.id);
+        observe(w, event("job.device_ns"), deviceNs);
+        observe(w, event("device.latency_ns"), deviceNs);
         if (res.report.profiled)
-            w.profiledCounter->inc();
+            emit(&w, event("device.profiled"), qj.job.id);
     }
     // Job-level deadline: device time plus charged backoff.
     if (res.ok() && qj.job.deadlineNs != 0
@@ -1180,7 +1130,7 @@ DispatchService::complete(unsigned idx, detail::QueuedJob &qj,
         res.status = support::Status::deadlineExceeded(
             "job " + std::to_string(qj.job.id)
             + " exceeded its deadline");
-        reg.counter("recover.timeouts").inc();
+        emit(&w, event("recover.timeouts"), qj.job.id);
     }
 
     const bool succeeded = res.ok();
@@ -1190,16 +1140,17 @@ DispatchService::complete(unsigned idx, detail::QueuedJob &qj,
         std::lock_guard<std::mutex> lock(routeMu);
         affinityMap[qj.job.signature] = idx;
     }
-    (succeeded ? completedCounter : failedCounter)->inc();
-    attemptsHist->observe(static_cast<double>(res.attempts));
+    observe(w, event("job.attempts"), static_cast<double>(res.attempts));
     if (res.backoffNs > 0)
-        backoffHist->observe(static_cast<double>(res.backoffNs));
-    if (!succeeded) {
+        observe(w, event("job.backoff_ns"),
+                static_cast<double>(res.backoffNs));
+    if (succeeded) {
+        emit(&w, event("jobs.completed"), qj.job.id);
+    } else {
         // Attach the worker's flight-recorder dump to the failure
         // so the caller sees the device's last phases post-mortem.
-        w.flight.record(w.dev->now(), qj.job.id, "failed",
-                        "dev=" + w.dev->name() + " "
-                            + res.status.toString());
+        emit(&w, event("jobs.failed"), qj.job.id, 1,
+             {{"dev", w.dev->name()}, {"status", res.status.toString()}});
         res.status.withPayload(w.flight.dump());
     }
 
@@ -1230,14 +1181,11 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
     res.deviceIndex = idx;
     res.deviceName = w.dev->name();
 
-    // Stamp the thread-locals the store observers read: a demotion
-    // fired from a store call below must be traceable to this job.
-    tlJobId = job.id;
-    tlTraceTrack = w.traceTrack;
-    tlDevice = w.dev.get();
+    // Events fired from inside the store and runtime calls below
+    // (observers) belong to this job.
+    w.currentJob = job.id;
 
-    w.flight.record(w.dev->now(), job.id, "register",
-                    "sig=" + job.signature);
+    emit(&w, event("register"), job.id, 1, {{"sig", job.signature}});
     try {
         if (job.ensureRegistered)
             job.ensureRegistered(*w.rt);
@@ -1263,14 +1211,9 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         auto rec =
             store_.lookup(job.signature, w.fingerprint, job.units);
         if (rec && blacklisted(w, job.signature, rec->selectedName)) {
-            if (tracer_.enabled()) {
-                tracer_.instant(w.traceTrack,
-                                "store.blocked_warmstart",
-                                w.dev->now(), job.id,
-                                {{"variant", rec->selectedName}});
-            }
+            emit(&w, event("guard.blocked_warmstart"), job.id, 1,
+                 {{"variant", rec->selectedName}});
             rec.reset();
-            reg.counter("guard.blocked_warmstart").inc();
         }
         return rec;
     };
@@ -1293,24 +1236,14 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         if (rs.kind == fed::Replicator::Resolve::Warm) {
             rec = lookupUsable();
             if (rec) {
-                reg.counter("fed.warm_hit").inc();
-                if (tracer_.enabled()) {
-                    // owner_cid is the profiling pass's correlation
-                    // id ON THE OWNER REPLICA: merging both replicas'
-                    // trace files lines this instant up with the
-                    // remote profile spans that produced the record.
-                    tracer_.instant(
-                        w.traceTrack, "fed.warm_hit", w.dev->now(),
-                        job.id,
-                        {{"owner_cid", std::to_string(rs.ownerCid)},
-                         {"owner_replica",
-                          std::to_string(rs.profileOrigin)},
-                         {"waited_ms",
-                          std::to_string(rs.waitedMs)}});
-                }
-                w.flight.record(w.dev->now(), job.id, "fed",
-                                "warm from replica "
-                                    + std::to_string(rs.profileOrigin));
+                // owner_cid is the profiling pass's correlation id ON
+                // THE OWNER REPLICA: merging both replicas' trace
+                // files lines this instant up with the remote profile
+                // spans that produced the record.
+                emit(&w, event("fed.warm_hit"), job.id, 1,
+                     {{"owner_cid", std::to_string(rs.ownerCid)},
+                      {"owner_replica", std::to_string(rs.profileOrigin)},
+                      {"waited_ms", std::to_string(rs.waitedMs)}});
             }
         }
     }
@@ -1346,26 +1279,15 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         }
         if (rec) {
             res.predicted = true;
-            reg.counter("predict.hit").inc();
-            if (tracer_.enabled()) {
-                tracer_.instant(
-                    w.traceTrack, "predict.hit", w.dev->now(), job.id,
-                    {{"variant", pred->variant},
-                     {"confidence", confStr(pred->confidence)},
-                     {"source", predict::sourceName(pred->source)},
-                     {"distance", std::to_string(pred->distance)}});
-            }
-            w.flight.record(w.dev->now(), job.id, "predict",
-                            "hit variant=" + pred->variant);
+            emit(&w, event("predict.hit"), job.id, 1,
+                 {{"variant", pred->variant},
+                  {"confidence", fixedStr(pred->confidence, 3)},
+                  {"source", predict::sourceName(pred->source)},
+                  {"distance", std::to_string(pred->distance)}});
         } else {
-            reg.counter("predict.miss").inc();
-            if (tracer_.enabled()) {
-                tracer_.instant(
-                    w.traceTrack, "predict.miss", w.dev->now(),
-                    job.id,
-                    {{"confidence",
-                      pred ? confStr(pred->confidence) : "none"}});
-            }
+            emit(&w, event("predict.miss"), job.id, 1,
+                 {{"confidence",
+                   pred ? fixedStr(pred->confidence, 3) : "none"}});
         }
     }
 
@@ -1382,38 +1304,23 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
             const auto ticket = coalescer.acquire(ckey, job.id);
             if (ticket.leader) {
                 lease = CoalesceLease(coalescer, ckey);
-                reg.counter("coalesce.leader").inc();
+                emit(&w, event("coalesce.leader"), job.id);
                 break;
             }
-            reg.counter("coalesce.follower").inc();
-            if (tracer_.enabled()) {
-                tracer_.instant(
-                    w.traceTrack, "coalesce.attach", w.dev->now(),
-                    job.id,
-                    {{"leader", std::to_string(ticket.leaderId)},
-                     {"signature", job.signature}});
-            }
-            w.flight.record(w.dev->now(), job.id, "coalesce",
-                            "follow leader="
-                                + std::to_string(ticket.leaderId));
+            const std::string leader = std::to_string(ticket.leaderId);
+            emit(&w, event("coalesce.follower"), job.id, 1,
+                 {{"leader", leader}, {"signature", job.signature}});
             coalescer.awaitRelease(ckey);
             rec = lookupUsable();
             if (rec) {
                 res.coalescedWith = ticket.leaderId;
-                reg.counter("coalesce.hit").inc();
-                if (tracer_.enabled()) {
-                    tracer_.instant(
-                        w.traceTrack, "coalesce.served",
-                        w.dev->now(), job.id,
-                        {{"leader",
-                          std::to_string(ticket.leaderId)},
-                         {"variant", rec->selectedName}});
-                }
+                emit(&w, event("coalesce.hit"), job.id, 1,
+                     {{"leader", leader}, {"variant", rec->selectedName}});
             } else {
                 // The leader released without recording (fault,
                 // guard storm): bid again -- one follower becomes
                 // the new leader, the rest keep waiting.
-                reg.counter("coalesce.leader_failed").inc();
+                emit(&w, event("coalesce.leader_failed"), job.id);
             }
         }
     }
@@ -1433,24 +1340,16 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         }
         opt.profiling = false;
         res.warmStart = true;
-        storeHitCounter->inc();
-        w.storeHitsCounter->inc();
-        if (tracer_.enabled()) {
-            tracer_.instant(w.traceTrack, "store.hit", w.dev->now(),
-                            job.id,
-                            {{"variant", rec->selectedName}});
-        }
-        w.flight.record(w.dev->now(), job.id, "lookup",
-                        "warm variant=" + rec->selectedName);
+        emit(&w, event("store.hit"), job.id, 1,
+             {{"variant", rec->selectedName}});
+        emit(&w, event("device.store_hits"), job.id);
     } else {
         opt.profiling = true;
-        storeMissCounter->inc();
-        w.flight.record(w.dev->now(), job.id, "lookup", "miss");
+        emit(&w, event("store.miss"), job.id);
     }
 
-    w.flight.record(w.dev->now(), job.id, "launch",
-                    "sig=" + job.signature + " units="
-                        + std::to_string(job.units));
+    emit(&w, event("launch"), job.id, 1,
+         {{"sig", job.signature}, {"units", std::to_string(job.units)}});
     const sim::TimeNs before = w.dev->now();
     res.status =
         w.rt->launch(job.signature, job.units, job.args, opt,
@@ -1471,8 +1370,9 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
                && retryableCode(res.status.code())) {
         // The stored selection failed to even launch: demote it so
         // the next lookup serves the runner-up (or re-profiles).
-        noteObservation(store_.reportFailure(job.signature,
-                                             w.fingerprint, job.units),
+        noteObservation(w,
+                        store_.reportFailure(job.signature, w.fingerprint,
+                                             job.units),
                         job.signature);
     }
     // The coalesce lease (when held) releases here: the profiled
@@ -1490,20 +1390,16 @@ DispatchService::blacklisted(const Worker &w, const std::string &sig,
 }
 
 void
-DispatchService::noteObservation(store::Observation obs,
+DispatchService::noteObservation(Worker &w, store::Observation obs,
                                  const std::string &signature)
 {
     switch (obs) {
       case store::Observation::Quarantined:
-        reg.counter("store.quarantine").inc();
-        if (tracer_.enabled() && tlDevice) {
-            tracer_.instant(tlTraceTrack, "store.quarantine",
-                            tlDevice->now(), tlJobId,
-                            {{"signature", signature}});
-        }
+        emit(&w, event("store.quarantine"), w.currentJob, 1,
+             {{"signature", signature}});
         break;
       case store::Observation::Invalidated:
-        reg.counter("store.drift_invalidation").inc();
+        emit(&w, event("store.drift_invalidation"), w.currentJob);
         break;
       case store::Observation::Ok:
         break;
@@ -1535,6 +1431,10 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
             bestUnitNs = unitNs;
         }
     }
+    auto probeFailed = [&] {
+        emit(&w, event("audit.probe_failed"), job.id, 1,
+             {{"signature", job.signature}});
+    };
     const int winIdx = variantIndex(*w.rt, job.signature, winner);
     const int runIdx =
         runnerUp.empty() ? -1 : variantIndex(*w.rt, job.signature, runnerUp);
@@ -1542,16 +1442,17 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
         // A sampled hit whose probe pair cannot even be resolved
         // (stale record, re-registration): account it as a failed
         // probe so the sampling stride stays observable.
-        auditor_->noteProbeFailure(w.traceTrack, job.id, w.dev->now(),
-                                   job.signature);
+        auditor_->noteProbeFailure();
+        probeFailed();
         return;
     }
 
     const std::uint64_t probeUnits =
         config.audit.probeUnits(job.units);
-    w.flight.record(w.dev->now(), job.id, "audit",
-                    "probe winner=" + winner + " runner_up=" + runnerUp
-                        + " units=" + std::to_string(probeUnits));
+    emit(&w, event("audit.probe"), job.id, 1,
+         {{"winner", winner},
+          {"runner_up", runnerUp},
+          {"units", std::to_string(probeUnits)}});
 
     // Both variants run the same forced-variant shadow slice over the
     // job's own (still live) buffers: equal slices make the per-unit
@@ -1575,8 +1476,8 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
     double winUnitNs = 0;
     double runUnitNs = 0;
     if (!probe(winIdx, winUnitNs) || !probe(runIdx, runUnitNs)) {
-        auditor_->noteProbeFailure(w.traceTrack, job.id, w.dev->now(),
-                                   job.signature);
+        auditor_->noteProbeFailure();
+        probeFailed();
         return;
     }
 
@@ -1588,10 +1489,87 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
     sample.runnerUp = runnerUp;
     sample.winnerUnitNs = winUnitNs;
     sample.runnerUpUnitNs = runUnitNs;
-    sample.traceTrack = w.traceTrack;
-    sample.jobId = job.id;
-    sample.nowNs = w.dev->now();
-    auditor_->ingest(sample);
+    const obs::AuditVerdict v = auditor_->ingest(sample);
+    if (v.probeFailed) {
+        probeFailed();
+        return;
+    }
+    const std::string ema = fixedStr(v.keyEma, 4);
+    emit(&w, event("audit.samples"), job.id, 1,
+         {{"signature", job.signature},
+          {"winner", winner},
+          {"runner_up", runnerUp},
+          {"regret", fixedStr(v.regret, 4)},
+          {"ema", ema}});
+    observe(w, event("audit.regret_pct"), v.regret * 100.0);
+    if (v.demoted) {
+        emit(&w, event("audit.demotions"), job.id, 1,
+             {{"signature", job.signature},
+              {"winner", winner},
+              {"runner_up", runnerUp},
+              {"ema", ema},
+              {"observation", store::observationName(v.observation)}});
+    }
+}
+
+void
+DispatchService::emit(Worker *w, Event e, std::uint64_t jobId,
+                      std::uint64_t count, EventAttrs attrs)
+{
+    const auto i = static_cast<std::size_t>(e);
+    const EventRow &row = eventTable[i];
+    if (support::Counter *c =
+            (row.perDevice ? w->handles : handles_)[i].counter)
+        c->inc(count);
+    if (!w || (!row.instant && !row.flight))
+        return;
+    // The device clock belongs to the worker thread; anyone else (a
+    // submitter) reads the snapshot the worker published.
+    const sim::TimeNs now = currentWorker == w
+                                ? w->dev->now()
+                                : w->clockNs.load(std::memory_order_relaxed);
+    if (row.instant && tracer_.enabled())
+        tracer_.instant(w->traceTrack, row.instant, now, jobId,
+                        support::tracing::Attrs(attrs.begin(), attrs.end()));
+    if (row.flight) {
+        // Reused per thread: rendering the detail does not allocate.
+        static thread_local std::string detail;
+        detail.clear();
+        for (const auto &[key, value] : attrs) {
+            if (!detail.empty())
+                detail += ' ';
+            detail.append(key).append("=").append(value);
+        }
+        w->flight.record(now, jobId, row.flight, detail);
+    }
+}
+
+void
+DispatchService::resolveHandles(EventHandles &out, const std::string &device)
+{
+    for (std::size_t i = 0; i < eventCount; ++i) {
+        const EventRow &row = eventTable[i];
+        if (row.perDevice == device.empty())
+            continue;
+        // Per-device families share one name plus a device label
+        // (DESIGN §7), e.g. `device.jobs{device="dev0"}`.
+        const std::string name =
+            device.empty() ? std::string(row.name)
+                           : support::MetricsRegistry::labeled(
+                                 row.name, "device", device);
+        if (row.kind == MetricKind::Counter)
+            out[i].counter = &reg.counter(name, row.help);
+        else if (row.kind == MetricKind::Histogram)
+            out[i].histogram = &reg.histogram(name, row.help);
+    }
+}
+
+void
+DispatchService::observe(Worker &w, Event e, double value)
+{
+    const auto i = static_cast<std::size_t>(e);
+    (eventTable[i].perDevice ? w.handles : handles_)[i].histogram->observe(
+        value);
 }
 
 } // namespace serve

@@ -60,6 +60,10 @@
  * Retried jobs bypass admission -- re-queueing an admitted job must
  * never deadlock a worker.
  *
+ * Telemetry: every counter, histogram, trace instant and flight record
+ * the service writes is declared once in serve/events.hh; emit() and
+ * observe() are the only writers (DESIGN §7, §11).
+ *
  * Fault tolerance: a job whose launch fails with a retryable code
  * (Unavailable, DeadlineExceeded, Internal) is retried up to
  * maxAttempts times with exponential virtual backoff, re-routed away
@@ -88,16 +92,20 @@
  */
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dysel/obs/selection_auditor.hh"
@@ -116,6 +124,7 @@
 #include "batcher.hh"
 #include "buffer_pool.hh"
 #include "coalescer.hh"
+#include "events.hh"
 #include "job.hh"
 
 namespace dysel {
@@ -405,6 +414,14 @@ class DispatchService
     support::tracing::Tracer &tracer() { return tracer_; }
 
   private:
+    /** Registry handle of one event-table row (null: not a metric). */
+    struct EventHandle
+    {
+        support::Counter *counter = nullptr;
+        support::Histogram *histogram = nullptr;
+    };
+    using EventHandles = std::array<EventHandle, eventCount>;
+
     struct Worker
     {
         std::unique_ptr<sim::Device> dev;
@@ -440,12 +457,12 @@ class DispatchService
         /** Routing decisions left before a half-open probe. */
         unsigned breakerCooldownLeft = 0;
 
-        /** Cached per-device metric handles (hot path: no name
-         * formatting, no registry lookup). */
-        support::Counter *jobsCounter = nullptr;
-        support::Counter *storeHitsCounter = nullptr;
-        support::Counter *profiledCounter = nullptr;
-        support::Histogram *latencyHist = nullptr;
+        /** Handles of the per-device event rows, this device's series. */
+        EventHandles handles;
+        /** The job this worker runs (worker thread only): the
+         * correlation id of events fired from inside store and runtime
+         * callbacks. */
+        std::uint64_t currentJob = 0;
 
         /** This worker's trace track id. */
         std::uint64_t traceTrack = 0;
@@ -459,6 +476,34 @@ class DispatchService
          */
         std::atomic<sim::TimeNs> clockNs{0};
     };
+
+    /** Attribute pairs of one event (trace-instant args; the flight
+     * record's detail renders them as `key=value`). */
+    using EventAttrs =
+        std::initializer_list<std::pair<std::string_view, std::string_view>>;
+
+    /**
+     * The one emission point of a serving event (serve/events.hh):
+     * adds @p count to the row's counter, writes its trace instant
+     * when the tracer is enabled and appends its flight record, both
+     * on @p w's track and ring at @p w's device clock (the published
+     * snapshot when called off @p w's thread).  @p w may be null for a
+     * service-wide row fired outside any worker: it is then counted
+     * only.
+     */
+    void emit(Worker *w, Event e, std::uint64_t jobId,
+              std::uint64_t count = 1, EventAttrs attrs = {});
+
+    /** Record one sample of a histogram row. */
+    void observe(Worker &w, Event e, double value);
+
+    /**
+     * Register the service-wide rows (@p device empty) or one device's
+     * per-device rows, with their HELP text, into @p out: the registry
+     * hands out stable references, so emit() never formats a name or
+     * looks one up.
+     */
+    void resolveHandles(EventHandles &out, const std::string &device);
 
     void workerLoop(unsigned idx);
     JobResult runJob(unsigned idx, detail::QueuedJob &qj);
@@ -529,9 +574,8 @@ class DispatchService
     bool blacklisted(const Worker &w, const std::string &sig,
                      const std::string &variant) const;
 
-    /** Count a store observation of the job this thread runs; a
-     * quarantine also leaves a trace instant. */
-    void noteObservation(store::Observation obs,
+    /** Emit a store observation of the job @p w runs. */
+    void noteObservation(Worker &w, store::Observation obs,
                          const std::string &signature);
 
     /**
@@ -573,20 +617,11 @@ class DispatchService
     std::mutex idleMu;
     std::condition_variable idle;
 
-    /** Cached hot-path metric handles (stable addresses). */
-    support::Counter *submittedCounter = nullptr;
-    support::Counter *completedCounter = nullptr;
-    support::Counter *failedCounter = nullptr;
-    support::Counter *cancelledCounter = nullptr;
-    support::Counter *storeHitCounter = nullptr;
-    support::Counter *storeMissCounter = nullptr;
-    support::Counter *batchLaunchCounter = nullptr;
-    support::Counter *batchJobsCounter = nullptr;
-    support::Counter *batchDemotedCounter = nullptr;
-    support::Histogram *batchSizeHist = nullptr;
-    support::Histogram *deviceNsHist = nullptr;
-    support::Histogram *attemptsHist = nullptr;
-    support::Histogram *backoffHist = nullptr;
+    /** Handles of the service-wide event rows, resolved once. */
+    EventHandles handles_;
+
+    /** The worker whose thread this is; null off the worker threads. */
+    static thread_local Worker *currentWorker;
 
     std::atomic<std::uint64_t> nextId{1};
     std::atomic<bool> started{false};

@@ -159,24 +159,55 @@ MetricsRegistry::labeled(const std::string &name, const std::string &key,
     return name + "{" + key + "=\"" + escapeLabelValue(value) + "\"}";
 }
 
-Counter &
-MetricsRegistry::counter(const std::string &name)
+namespace {
+
+/** Split `family{labels}` into its parts; labels may be empty. */
+void
+splitLabeled(const std::string &name, std::string &family,
+             std::string &labels)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    auto &slot = counters[name];
+    const auto brace = name.find('{');
+    if (brace == std::string::npos || name.back() != '}') {
+        family = name;
+        labels.clear();
+        return;
+    }
+    family = name.substr(0, brace);
+    labels = name.substr(brace + 1, name.size() - brace - 2);
+}
+
+/** Get-or-create @p name in @p metrics, registering @p help. */
+template <typename Metric>
+Metric &
+getOrCreate(std::map<std::string, std::unique_ptr<Metric>> &metrics,
+            std::map<std::string, std::string> &helps,
+            const std::string &name, const char *help)
+{
+    auto &slot = metrics[name];
     if (!slot)
-        slot = std::make_unique<Counter>();
+        slot = std::make_unique<Metric>();
+    if (help) {
+        std::string family, labels;
+        splitLabeled(name, family, labels);
+        helps.emplace(std::move(family), help);
+    }
     return *slot;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
+} // namespace
+
+Counter &
+MetricsRegistry::counter(const std::string &name, const char *help)
 {
     std::lock_guard<std::mutex> lock(mu);
-    auto &slot = histograms[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
+    return getOrCreate(counters, helps, name, help);
+}
+
+Histogram &
+MetricsRegistry::histogram(const std::string &name, const char *help)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return getOrCreate(histograms, helps, name, help);
 }
 
 std::uint64_t
@@ -250,21 +281,6 @@ MetricsRegistry::renderJson() const
 
 namespace {
 
-/** Split `family{labels}` into its parts; labels may be empty. */
-void
-splitLabeled(const std::string &name, std::string &family,
-             std::string &labels)
-{
-    const auto brace = name.find('{');
-    if (brace == std::string::npos || name.back() != '}') {
-        family = name;
-        labels.clear();
-        return;
-    }
-    family = name.substr(0, brace);
-    labels = name.substr(brace + 1, name.size() - brace - 2);
-}
-
 /** Prometheus metric-name sanitization: [a-zA-Z0-9_:], '_' elsewhere. */
 std::string
 promName(const std::string &family)
@@ -290,86 +306,6 @@ promNumber(double v)
     return buf;
 }
 
-/**
- * HELP text of a metric family, keyed by the sanitized family name.
- * Families not in the table get a generic line -- every exported
- * family always carries a HELP, as scrapers expect.
- */
-const char *
-promHelp(const std::string &family)
-{
-    static const std::map<std::string, const char *> help = {
-        {"jobs_submitted", "Jobs accepted by submit()/submitMany()."},
-        {"jobs_completed", "Jobs that finished with an OK status."},
-        {"jobs_failed", "Jobs that finished with a non-OK status."},
-        {"jobs_cancelled", "Jobs withdrawn while still queued."},
-        {"store_hit", "Selection-store lookups served warm."},
-        {"store_miss", "Selection-store lookups that missed."},
-        {"store_record", "Profiled launches recorded into the store."},
-        {"store_quarantine",
-         "Records demoted to their runner-up variant."},
-        {"store_drift_invalidation",
-         "Records invalidated by throughput drift."},
-        {"batch_launches", "Fused launches executed."},
-        {"batch_jobs", "Jobs served by fused launches."},
-        {"batch_demoted",
-         "Batch members demoted to solo re-execution."},
-        {"batch_size", "Jobs per fused launch."},
-        {"job_device_ns", "Per-job device time (virtual ns)."},
-        {"job_attempts", "Attempts per completed job."},
-        {"job_backoff_ns",
-         "Charged virtual retry backoff per job (ns)."},
-        {"admission_blocked",
-         "Submissions that blocked on a full queue."},
-        {"admission_block_ns",
-         "Wall time submitters spent blocked (ns)."},
-        {"admission_shed", "Jobs shed by admission control."},
-        {"admission_stopped",
-         "Jobs refused because the service was stopping."},
-        {"breaker_trips", "Circuit breakers opened."},
-        {"breaker_reopens", "Failed half-open probes."},
-        {"breaker_closes", "Circuit breakers closed by a probe."},
-        {"recover_retries", "Job attempts retried on another device."},
-        {"recover_timeouts", "Deadline expirations (device or job)."},
-        {"coalesce_leader", "Profiling passes led for a cold key."},
-        {"coalesce_follower",
-         "Jobs that waited behind a profiling leader."},
-        {"coalesce_hit",
-         "Followers served warm from their leader's record."},
-        {"coalesce_leader_failed",
-         "Leaders that released without recording."},
-        {"guard_excluded",
-         "Variants excluded up front by the blacklist."},
-        {"guard_repair",
-         "Productive slices re-executed after a guard strike."},
-        {"guard_blacklist", "Variants blacklisted by the guard."},
-        {"guard_blocked_warmstart",
-         "Warm starts blocked by a blacklisted winner."},
-        {"predict_train", "Online training examples fed in."},
-        {"predict_demoted", "Predicted selections demoted."},
-        {"predict_hit", "Store misses served by a prediction."},
-        {"predict_miss",
-         "Store misses the predictor declined to serve."},
-        {"pool_install_failed", "Kernel-pool installers that threw."},
-        {"device_jobs", "Jobs completed, per device."},
-        {"device_store_hits", "Warm starts served, per device."},
-        {"device_profiled", "Profiling launches run, per device."},
-        {"device_latency_ns", "Per-job device time, per device (ns)."},
-        {"device_breaker_trips", "Breaker trips, per device."},
-        {"device_retries_out", "Jobs retried away, per device."},
-        {"device_shed", "Jobs shed, per device."},
-        {"audit_samples",
-         "Warm hits shadow-audited against the runner-up."},
-        {"audit_probe_failed", "Audit probes whose launch failed."},
-        {"audit_regret_pct",
-         "Realized selection regret per audit sample (percent)."},
-        {"audit_demotions",
-         "Selections quarantined by sustained audit regret."},
-    };
-    auto it = help.find(family);
-    return it == help.end() ? "DySel serving metric." : it->second;
-}
-
 } // namespace
 
 std::string
@@ -382,18 +318,22 @@ MetricsRegistry::renderPrometheus() const
         // One HELP + TYPE pair per family: labeled series of one
         // family (device="dev0", device="dev1") are adjacent in the
         // sorted map, so emitting on family change is enough.
-        if (family == lastFamily)
+        const std::string name = promName(family);
+        if (name == lastFamily)
             return;
-        lastFamily = family;
-        os << "# HELP " << family << ' ' << promHelp(family) << '\n';
-        os << "# TYPE " << family << ' ' << type << '\n';
+        lastFamily = name;
+        const auto help = helps.find(family);
+        os << "# HELP " << name << ' '
+           << (help == helps.end() ? fallbackHelp : help->second.c_str())
+           << '\n';
+        os << "# TYPE " << name << ' ' << type << '\n';
     };
 
     for (const auto &[name, c] : counters) {
         std::string family, labels;
         splitLabeled(name, family, labels);
-        family = promName(family);
         typeLine(family, "counter");
+        family = promName(family);
         os << family;
         if (!labels.empty())
             os << '{' << labels << '}';
@@ -404,8 +344,8 @@ MetricsRegistry::renderPrometheus() const
     for (const auto &[name, h] : histograms) {
         std::string family, labels;
         splitLabeled(name, family, labels);
-        family = promName(family);
         typeLine(family, "histogram");
+        family = promName(family);
         const auto buckets = h->buckets();
         // Cumulative counts at the power-of-two upper bounds, up to
         // the highest non-empty bucket, then the +Inf catch-all.

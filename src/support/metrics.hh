@@ -108,11 +108,16 @@ class MetricsRegistry
     /** Prometheus 0.0.4 label-value escaping (`\\`, `\"`, `\n`). */
     static std::string escapeLabelValue(const std::string &value);
 
-    /** Get or create the counter named @p name. */
-    Counter &counter(const std::string &name);
+    /**
+     * Get or create the counter named @p name.  A non-null @p help
+     * becomes the HELP text of the name's family (the part before any
+     * `{labels}` suffix) unless the family already has one.
+     */
+    Counter &counter(const std::string &name, const char *help = nullptr);
 
-    /** Get or create the histogram named @p name. */
-    Histogram &histogram(const std::string &name);
+    /** Get or create the histogram named @p name (see counter()). */
+    Histogram &histogram(const std::string &name,
+                         const char *help = nullptr);
 
     /** Value of a counter; 0 when it does not exist. */
     std::uint64_t counterValue(const std::string &name) const;
@@ -129,9 +134,14 @@ class MetricsRegistry
     /** JSON export: {"counters": {...}, "histograms": {...}}. */
     Json renderJson() const;
 
+    /** HELP line of a family registered without help text. */
+    static constexpr const char *fallbackHelp =
+        "Metric registered without help text.";
+
     /**
      * Prometheus text exposition (version 0.0.4): every family gets
-     * a `# HELP` and `# TYPE` pair.  Metric names are
+     * a `# HELP` (its registered text, else fallbackHelp) and a
+     * `# TYPE` line.  Metric names are
      * sanitized ('.' and other illegal characters become '_'); a
      * `{key="value"}` suffix built by labeled() becomes a real
      * Prometheus label set.  Counters render as a single sample,
@@ -145,6 +155,8 @@ class MetricsRegistry
     mutable std::mutex mu;
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Histogram>> histograms;
+    /** Family name -> HELP text, as registered. */
+    std::map<std::string, std::string> helps;
 };
 
 } // namespace support

@@ -23,6 +23,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dysel {
@@ -68,16 +69,20 @@ class FlightRecorder
         return written;
     }
 
-    /** Append one record, overwriting the oldest once full. */
-    void record(std::uint64_t ts, std::uint64_t job, std::string phase,
-                std::string detail = std::string())
+    /**
+     * Append one record, overwriting the oldest once full.  The text
+     * is copied into the slot's strings, whose capacity is reused, so
+     * a warm ring records without allocating.
+     */
+    void record(std::uint64_t ts, std::uint64_t job, std::string_view phase,
+                std::string_view detail = {})
     {
         std::lock_guard<std::mutex> lock(mu);
         Entry &slot = ring[written % ring.size()];
         slot.ts = ts;
         slot.job = job;
-        slot.phase = std::move(phase);
-        slot.detail = std::move(detail);
+        slot.phase.assign(phase);
+        slot.detail.assign(detail);
         written++;
     }
 

@@ -42,7 +42,10 @@
 #include "dysel/fed/ownership.hh"
 #include "dysel/fed/replicator.hh"
 #include "dysel/store/selection_store.hh"
+#include "serve/dispatch_service.hh"
 #include "serve/loadgen.hh"
+#include "sim/cpu/cpu_device.hh"
+#include "submit_one.hh"
 #include "support/metrics.hh"
 #include "support/net/http.hh"
 
@@ -123,6 +126,28 @@ struct Node
 
     std::string dump() const { return store.toJson().dump(0); }
 };
+
+/** A variant writing u -> u into buffer 0 for units < arg 1. */
+kdp::KernelVariant
+copyKernel(const char *name, std::uint64_t flopsPerUnit)
+{
+    kdp::KernelVariant v;
+    v.name = name;
+    v.groupSize = 8;
+    v.waFactor = 1;
+    v.sandboxIndex = {0};
+    v.fn = [flopsPerUnit](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
+        auto &out = args.buf<std::int32_t>(0);
+        const auto units = static_cast<std::uint64_t>(args.scalarInt(1));
+        const std::uint64_t u = g.unitBase();
+        if (u >= units)
+            return;
+        const auto lane = static_cast<std::uint32_t>(u % 8);
+        g.store(out, u, static_cast<std::int32_t>(u), lane);
+        g.flops(lane, flopsPerUnit);
+    };
+    return v;
+}
 
 /** Bring up @p n listening nodes and wire them into a full mesh. */
 std::vector<std::unique_ptr<Node>>
@@ -594,4 +619,72 @@ TEST(Federation, ThreeReplicaStormProfilesEachKeyOnceFleetWide)
 
     for (auto &node : nodes)
         node->rep->stop();
+}
+
+// ---------------------------------------------------------------
+// Replicated serving telemetry
+// ---------------------------------------------------------------
+
+TEST(Federation, ReplicatedServiceTracesWarmHitsAndHelpsEveryFamily)
+{
+    // No anti-entropy thread runs: the follower's cold miss can only
+    // turn warm through the owner's lease endpoint, so exactly one
+    // fed.warm_hit is emitted -- counter and instant together.
+    constexpr std::uint64_t kUnits = 512; // profilable
+    auto nodes = makeFleet(2);
+    for (auto &node : nodes)
+        ASSERT_TRUE(node->rep->awaitPeers(10000));
+
+    std::vector<std::unique_ptr<serve::DispatchService>> svcs;
+    for (auto &node : nodes) {
+        auto svc = std::make_unique<serve::DispatchService>(node->store);
+        svc->addDevice(std::make_unique<sim::CpuDevice>());
+        ASSERT_TRUE(svc->registerKernelPool([](runtime::Runtime &rt) {
+                           for (int k = 0; k < 64; ++k) {
+                               const auto sig = "rk" + std::to_string(k);
+                               rt.addKernel(sig, copyKernel("slow", 4000));
+                               rt.addKernel(sig, copyKernel("fast", 100));
+                           }
+                       })
+                        .ok());
+        svc->setFederation(node->rep.get());
+        svc->tracer().setEnabled(true);
+        svc->start();
+        svcs.push_back(std::move(svc));
+    }
+    // A key replica 0 owns: it profiles locally, replica 1 follows.
+    const std::string fp = svcs[0]->device(0).fingerprint();
+    std::string sig;
+    for (int k = 0; k < 64 && sig.empty(); ++k)
+        if (nodes[0]->rep->owns("rk" + std::to_string(k), fp,
+                                store::bucketOf(kUnits)))
+            sig = "rk" + std::to_string(k);
+    ASSERT_FALSE(sig.empty());
+
+    kdp::Buffer<std::int32_t> out(kUnits, kdp::MemSpace::Global, "fed.out");
+    for (auto &svc : svcs) {
+        serve::JobSpec spec;
+        spec.signature(sig).units(kUnits);
+        spec.mutableArgs().add(out).add(static_cast<std::int64_t>(kUnits));
+        const serve::JobResult r = submitOne(*svc, spec).result();
+        ASSERT_TRUE(r.ok()) << r.status.toString();
+    }
+    for (auto &svc : svcs)
+        svc->stop();
+
+    EXPECT_EQ(svcs[0]->metrics().counterValue("fed.warm_hit"), 0u);
+    EXPECT_EQ(svcs[1]->metrics().counterValue("fed.warm_hit"), 1u);
+    for (auto &svc : svcs) {
+        EXPECT_EQ(svc->metrics().counterValue("fed.warm_hit"),
+                  svc->tracer().countNamed("fed.warm_hit"));
+        // Service rows and every fed.* family carry their own HELP.
+        const std::string prom = svc->metrics().renderPrometheus();
+        EXPECT_NE(prom.find("# HELP fed_lease_grant "), std::string::npos);
+        EXPECT_EQ(prom.find(support::MetricsRegistry::fallbackHelp),
+                  std::string::npos)
+            << prom;
+    }
+    // The replicators outlive the services' registries.
+    for (auto &node : nodes)
+        node->rep->bindMetrics(nullptr);
 }

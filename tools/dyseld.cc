@@ -1069,13 +1069,14 @@ main(int argc, char **argv)
               << " drift invalidations, " << store.quarantineCount()
               << " quarantines\n";
 
+    // Read-only: a report line must not create the family it reads.
+    auto counter = [&](const char *name) {
+        return svc.metrics().counterValue(name);
+    };
     if (opt.faultRate > 0.0 || opt.variantFaultRate > 0.0) {
         std::cout << "\n--- fault injection ---\n";
         printInjector("cpu", cpuFaults);
         printInjector("gpu", gpuFaults);
-        auto counter = [&](const char *name) {
-            return svc.metrics().counter(name).value();
-        };
         std::cout << "recovery: " << counter("recover.retries")
                   << " retries, " << counter("recover.timeouts")
                   << " timeouts, " << counter("breaker.trips")
@@ -1085,9 +1086,6 @@ main(int argc, char **argv)
     }
 
     if (opt.predict) {
-        auto counter = [&](const char *name) {
-            return svc.metrics().counter(name).value();
-        };
         std::cout << "\n--- learned selection ---\n"
                   << "predict: " << counter("predict.hit") << " hits, "
                   << counter("predict.miss") << " misses, "
@@ -1098,9 +1096,6 @@ main(int argc, char **argv)
     }
 
     if (opt.guard) {
-        auto counter = [&](const char *name) {
-            return svc.metrics().counter(name).value();
-        };
         std::cout << "\n--- variant guard ---\n"
                   << "detections: " << counter("guard.mismatch")
                   << " mismatch, " << counter("guard.redzone")
