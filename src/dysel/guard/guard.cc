@@ -30,6 +30,13 @@ VariantGuard::setBlacklistObserver(BlacklistObserver obs)
 }
 
 void
+VariantGuard::setStrikeObserver(StrikeObserver obs)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    strikeObserver = std::move(obs);
+}
+
+void
 VariantGuard::blacklist(const std::string &signature,
                         const std::string &variant,
                         const std::string &reason)
@@ -55,7 +62,9 @@ bool
 VariantGuard::strike(const std::string &signature,
                      const std::string &variant, CheckKind check)
 {
+    StrikeObserver onStrike;
     BlacklistObserver notify;
+    bool struckOut = false;
     {
         std::lock_guard<std::mutex> lock(mu);
         VariantHealth &h = ledger[LedgerKey{signature, variant}];
@@ -68,17 +77,21 @@ VariantGuard::strike(const std::string &signature,
         checkCounts[static_cast<std::size_t>(check)]++;
         h.strikes++;
         h.lastReason = checkKindName(check);
-        if (h.blacklisted || h.strikes < cfg_.strikeLimit)
-            return false;
-        h.blacklisted = true;
-        blacklists++;
-        notify = observer;
+        onStrike = strikeObserver;
+        if (!h.blacklisted && h.strikes >= cfg_.strikeLimit) {
+            h.blacklisted = true;
+            blacklists++;
+            notify = observer;
+            struckOut = true;
+        }
     }
-    // Observer runs unlocked: it typically writes the selection
-    // store, which takes its own mutex.
+    // Observers run unlocked: they typically write the selection
+    // store or the service's telemetry, which take their own mutexes.
+    if (onStrike)
+        onStrike(signature, variant, check);
     if (notify)
         notify(signature, variant, checkKindName(check));
-    return true;
+    return struckOut;
 }
 
 void

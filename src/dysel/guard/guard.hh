@@ -118,6 +118,17 @@ class VariantGuard
     void setBlacklistObserver(BlacklistObserver obs);
 
     /**
+     * Invoked (with the ledger mutex released) on every strike, before
+     * the blacklist observer of a strike that blacklists; the serving
+     * layer counts and traces each detection from it, so a strike is
+     * accounted where it happens even when its launch then fails.
+     */
+    using StrikeObserver =
+        std::function<void(const std::string &signature,
+                           const std::string &variant, CheckKind check)>;
+    void setStrikeObserver(StrikeObserver obs);
+
+    /**
      * Seed a blacklist entry from an external source (a loaded
      * selection store).  Idempotent; does not fire the observer (the
      * source already knows).
@@ -130,9 +141,10 @@ class VariantGuard
                        const std::string &variant) const;
 
     /**
-     * Record a failed check against (signature, variant).  Returns
-     * true when this strike crossed strikeLimit and blacklisted the
-     * variant (the observer fires exactly once, on the transition).
+     * Record a failed check against (signature, variant) and fire the
+     * strike observer.  Returns true when this strike crossed
+     * strikeLimit and blacklisted the variant (the blacklist observer
+     * fires exactly once, on the transition).
      */
     bool strike(const std::string &signature, const std::string &variant,
                 CheckKind check);
@@ -196,6 +208,7 @@ class VariantGuard
     std::array<std::uint64_t, 4> checkCounts{};
     std::uint64_t blacklists = 0;
     BlacklistObserver observer;
+    StrikeObserver strikeObserver;
 };
 
 } // namespace guard

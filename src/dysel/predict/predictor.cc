@@ -9,11 +9,99 @@ namespace predict {
 
 using support::Json;
 
+namespace {
+
+// Learning constants; DESIGN §9 tabulates them.
+constexpr double kLearningRate = 0.15;       // perceptron step
+constexpr unsigned kInterpolationRadius = 2; // buckets a record seeds
+constexpr double kInterpolationDecay = 0.8;  // confidence per bucket
+constexpr double kMeasuredConfidence = 0.98; // raw, before the decay
+constexpr double kModelCap = 0.9;            // raw model confidence cap
+// Model margin under which a correct prediction still reinforces its
+// winner (a classic perceptron only learns from mistakes).
+constexpr double kReinforceMargin = 2.0;
+// Calibration prior: the shadow hit rate starts at 8/9, below the
+// measured confidence, until the predictor has earned trust.
+constexpr double kPriorCorrect = 8.0;
+constexpr double kPriorTotal = 9.0;
+constexpr double kDemotionPenalty = 2.0; // shadow misses per demotion
+
+/** Best-scoring variant of one device class, and the runner-up's
+ * score. */
+struct Ranking
+{
+    std::string argmax;
+    double best = 0.0;
+    double second = 0.0;
+    bool any = false;
+};
+
+Ranking
+rank(const std::map<std::pair<unsigned, std::string>, FeatureVector> &weights,
+     unsigned cls, const FeatureVector &f)
+{
+    Ranking r;
+    for (const auto &[key, w] : weights) {
+        if (key.first != cls)
+            continue;
+        double score = 0.0;
+        for (std::size_t i = 0; i < kFeatureDim; ++i)
+            score += w[i] * f[i];
+        if (!r.any || score > r.best) {
+            r.second = r.any ? r.best : 0.0;
+            r.best = score;
+            r.argmax = key.second;
+            r.any = true;
+        } else if (score > r.second) {
+            r.second = score;
+        }
+    }
+    return r;
+}
+
+/**
+ * Cross-bucket interpolation: the nearest valid, measured record of
+ * the key within the radius (the lower bucket first at equal
+ * distance), at uncalibrated confidence decayed per bucket of
+ * distance.  Bucket arithmetic is clamped at both ends -- bucket 0 has
+ * no lower neighbour and 63 no upper one; wrapping would alias
+ * order-of-magnitude distant workload sizes (the exact mistake
+ * bucketing exists to avoid).  Predicted records are not evidence: a
+ * guess must not seed another guess.
+ */
+std::optional<Prediction>
+interpolate(const store::SelectionStore &store,
+            const std::string &signature, const std::string &fingerprint,
+            unsigned bucket)
+{
+    auto measured = [&](unsigned b) -> std::optional<std::string> {
+        auto rec =
+            store.peek(signature, fingerprint, store::unitsForBucket(b));
+        if (!rec || rec->predicted)
+            return std::nullopt;
+        return std::move(rec->selectedName);
+    };
+    for (unsigned d = 1; d <= kInterpolationRadius; ++d) {
+        auto variant = bucket >= d ? measured(bucket - d) : std::nullopt;
+        if (!variant && bucket + d <= 63)
+            variant = measured(bucket + d);
+        if (variant) {
+            return Prediction{
+                std::move(*variant),
+                kMeasuredConfidence
+                    * std::pow(kInterpolationDecay, static_cast<double>(d)),
+                Source::Interpolated, d};
+        }
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
 const char *
 sourceName(Source source)
 {
     switch (source) {
-      case Source::Exact: return "exact";
       case Source::Interpolated: return "interpolated";
       case Source::Model: return "model";
     }
@@ -34,8 +122,8 @@ SelectionPredictor::noteKernel(const std::string &signature,
 double
 SelectionPredictor::calibrationLocked() const
 {
-    const double c = (cfg_.priorCorrect + shadowCorrect_)
-                     / (cfg_.priorTotal + shadowTotal_);
+    const double c = (kPriorCorrect + shadowCorrect_)
+                     / (kPriorTotal + shadowTotal_);
     return std::clamp(c, 0.0, 1.0);
 }
 
@@ -51,82 +139,25 @@ SelectionPredictor::featuresLocked(const std::string &signature,
 }
 
 std::optional<Prediction>
-SelectionPredictor::predictLocked(const std::string &signature,
+SelectionPredictor::predictLocked(const std::optional<Prediction> &neighbour,
+                                  const std::string &signature,
                                   const std::string &fingerprint,
                                   unsigned bucket) const
 {
-    std::optional<Prediction> best;
-
-    // Exact recorded winner.
-    if (auto it = winners.find(Key{signature, fingerprint, bucket});
-        it != winners.end()) {
-        best = Prediction{it->second, cfg_.exactConfidence,
-                          Source::Exact, 0};
-    }
-
-    // Cross-bucket interpolation: the nearest recorded winner within
-    // the radius, decayed per bucket of distance.  Bucket arithmetic
-    // is clamped at both ends -- bucket 0 has no lower neighbour and
-    // 63 no upper one; wrapping would alias order-of-magnitude
-    // distant workload sizes (the exact mistake bucketing exists to
-    // avoid).
-    if (!best) {
-        for (unsigned d = 1; d <= cfg_.interpolationRadius && !best;
-             ++d) {
-            const double conf =
-                cfg_.exactConfidence
-                * std::pow(cfg_.interpolationDecay,
-                           static_cast<double>(d));
-            if (bucket >= d) {
-                if (auto it = winners.find(
-                        Key{signature, fingerprint, bucket - d});
-                    it != winners.end()) {
-                    best = Prediction{it->second, conf,
-                                      Source::Interpolated, d};
-                    break;
-                }
-            }
-            if (bucket + d <= 63) {
-                if (auto it = winners.find(
-                        Key{signature, fingerprint, bucket + d});
-                    it != winners.end()) {
-                    best = Prediction{it->second, conf,
-                                      Source::Interpolated, d};
-                }
-            }
-        }
-    }
+    std::optional<Prediction> best = neighbour;
 
     // Linear model: argmax over this device class's variant scores,
     // confidence from the margin over the runner-up (squashed, capped
-    // below exact/interpolated confidence so recorded winners always
+    // below the measured confidence so measured neighbours always
     // outrank model guesses).
     if (!best) {
         const unsigned cls = deviceClassOf(fingerprint);
-        const FeatureVector f = featuresLocked(signature, bucket, cls);
-        std::string argmax;
-        double bestScore = 0.0, secondScore = 0.0;
-        bool any = false;
-        for (const auto &[key, w] : weights) {
-            if (key.first != cls)
-                continue;
-            double score = 0.0;
-            for (std::size_t i = 0; i < kFeatureDim; ++i)
-                score += w[i] * f[i];
-            if (!any || score > bestScore) {
-                secondScore = any ? bestScore : 0.0;
-                bestScore = score;
-                argmax = key.second;
-                any = true;
-            } else if (score > secondScore) {
-                secondScore = score;
-            }
-        }
-        if (any) {
-            const double margin = bestScore - secondScore;
+        const Ranking r =
+            rank(weights, cls, featuresLocked(signature, bucket, cls));
+        if (r.any) {
             const double conf =
-                cfg_.modelCap / (1.0 + std::exp(-margin));
-            best = Prediction{argmax, conf, Source::Model, 0};
+                kModelCap / (1.0 + std::exp(-(r.best - r.second)));
+            best = Prediction{r.argmax, conf, Source::Model, 0};
         }
     }
 
@@ -138,32 +169,36 @@ SelectionPredictor::predictLocked(const std::string &signature,
 }
 
 std::optional<Prediction>
-SelectionPredictor::predict(const std::string &signature,
+SelectionPredictor::predict(const store::SelectionStore &store,
+                            const std::string &signature,
                             const std::string &fingerprint,
                             unsigned bucket) const
 {
+    // Store reads first: the store and predictor locks never nest.
+    const auto neighbour =
+        interpolate(store, signature, fingerprint, bucket);
     std::lock_guard<std::mutex> lock(mu);
-    return predictLocked(signature, fingerprint, bucket);
+    return predictLocked(neighbour, signature, fingerprint, bucket);
 }
 
 void
-SelectionPredictor::observeProfile(const store::SelectionRecord &rec)
+SelectionPredictor::observeProfile(const store::SelectionStore &store,
+                                   const store::SelectionRecord &rec)
 {
     if (rec.selectedName.empty())
         return;
+    const auto neighbour =
+        interpolate(store, rec.signature, rec.device, rec.bucket);
     std::lock_guard<std::mutex> lock(mu);
 
-    // Shadow evaluation first (against the state *before* this
-    // example lands): would the predictor have called this winner?
-    if (auto pred = predictLocked(rec.signature, rec.device,
-                                  rec.bucket)) {
+    // Shadow evaluation first (against the model before this example
+    // lands): would the predictor have called this winner?
+    if (auto pred =
+            predictLocked(neighbour, rec.signature, rec.device, rec.bucket)) {
         shadowTotal_ += 1.0;
         if (pred->variant == rec.selectedName)
             shadowCorrect_ += 1.0;
     }
-
-    winners[Key{rec.signature, rec.device, rec.bucket}] =
-        rec.selectedName;
     examples_++;
 
     // Perceptron update of the per-device-class model.
@@ -171,67 +206,40 @@ SelectionPredictor::observeProfile(const store::SelectionRecord &rec)
     const FeatureVector f =
         featuresLocked(rec.signature, rec.bucket, cls);
     FeatureVector &wWin = weights[ClassVariant{cls, rec.selectedName}];
-
-    std::string argmax;
-    double bestScore = 0.0, winScore = 0.0, secondScore = 0.0;
-    bool any = false;
-    for (const auto &[key, w] : weights) {
-        if (key.first != cls)
-            continue;
-        double score = 0.0;
-        for (std::size_t i = 0; i < kFeatureDim; ++i)
-            score += w[i] * f[i];
-        if (key.second == rec.selectedName)
-            winScore = score;
-        if (!any || score > bestScore) {
-            secondScore = any ? bestScore : 0.0;
-            bestScore = score;
-            argmax = key.second;
-            any = true;
-        } else if (score > secondScore) {
-            secondScore = score;
-        }
-    }
-    if (argmax != rec.selectedName) {
+    const Ranking r = rank(weights, cls, f);
+    if (r.argmax != rec.selectedName) {
         // Mistake: pull the winner up, push the impostor down.
         for (std::size_t i = 0; i < kFeatureDim; ++i)
-            wWin[i] += cfg_.learningRate * f[i];
-        if (auto it = weights.find(ClassVariant{cls, argmax});
+            wWin[i] += kLearningRate * f[i];
+        if (auto it = weights.find(ClassVariant{cls, r.argmax});
             it != weights.end()) {
             for (std::size_t i = 0; i < kFeatureDim; ++i)
-                it->second[i] -= cfg_.learningRate * f[i];
+                it->second[i] -= kLearningRate * f[i];
         }
-    } else if (winScore - secondScore < cfg_.reinforceMargin) {
+    } else if (r.best - r.second < kReinforceMargin) {
         // Correct but not yet confident: reinforce toward the margin.
         for (std::size_t i = 0; i < kFeatureDim; ++i)
-            wWin[i] += cfg_.learningRate * f[i];
+            wWin[i] += kLearningRate * f[i];
     }
 }
 
 void
-SelectionPredictor::observeDemotion(const std::string &signature,
-                                    const std::string &fingerprint,
-                                    unsigned bucket)
+SelectionPredictor::observeDemotion(const store::SelectionRecord &rec)
 {
     std::lock_guard<std::mutex> lock(mu);
     demotions_++;
-    shadowTotal_ += cfg_.demotionPenalty;
-
-    auto it = winners.find(Key{signature, fingerprint, bucket});
-    if (it == winners.end())
-        return;
-    const std::string demoted = it->second;
-    winners.erase(it);
+    shadowTotal_ += kDemotionPenalty;
 
     // Corrective model update: we know this variant was wrong for the
     // key even though we don't yet know what is right -- the forced
     // re-profile will supply that as a fresh training example.
-    const unsigned cls = deviceClassOf(fingerprint);
-    if (auto wit = weights.find(ClassVariant{cls, demoted});
-        wit != weights.end()) {
-        const FeatureVector f = featuresLocked(signature, bucket, cls);
+    const unsigned cls = deviceClassOf(rec.device);
+    if (auto it = weights.find(ClassVariant{cls, rec.selectedName});
+        it != weights.end()) {
+        const FeatureVector f =
+            featuresLocked(rec.signature, rec.bucket, cls);
         for (std::size_t i = 0; i < kFeatureDim; ++i)
-            wit->second[i] -= cfg_.learningRate * f[i];
+            it->second[i] -= kLearningRate * f[i];
     }
 }
 
@@ -256,19 +264,11 @@ SelectionPredictor::calibration() const
     return calibrationLocked();
 }
 
-std::size_t
-SelectionPredictor::winnerCount() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return winners.size();
-}
-
 void
 SelectionPredictor::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
     kernelFeats.clear();
-    winners.clear();
     weights.clear();
     examples_ = 0;
     demotions_ = 0;
@@ -294,15 +294,6 @@ SelectionPredictor::toJson() const
         jf.set("f", vec(f));
         feats.push(std::move(jf));
     }
-    Json wins = Json::array();
-    for (const auto &[key, variant] : winners) {
-        Json jw = Json::object();
-        jw.set("signature", Json(std::get<0>(key)));
-        jw.set("device", Json(std::get<1>(key)));
-        jw.set("bucket", Json(std::get<2>(key)));
-        jw.set("variant", Json(variant));
-        wins.push(std::move(jw));
-    }
     Json model = Json::array();
     for (const auto &[key, w] : weights) {
         Json jm = Json::object();
@@ -319,7 +310,6 @@ SelectionPredictor::toJson() const
     root.set("shadow_correct", Json(shadowCorrect_));
     root.set("shadow_total", Json(shadowTotal_));
     root.set("features", std::move(feats));
-    root.set("winners", std::move(wins));
     root.set("weights", std::move(model));
     return root;
 }
@@ -347,15 +337,6 @@ SelectionPredictor::loadJson(const Json &doc)
         for (const Json &jf : doc.at("features").items())
             feats[jf.at("signature").asString()] = vec(jf.at("f"));
     }
-    std::map<Key, std::string> wins;
-    if (doc.has("winners")) {
-        for (const Json &jw : doc.at("winners").items()) {
-            wins[Key{jw.at("signature").asString(),
-                     jw.at("device").asString(),
-                     static_cast<unsigned>(jw.at("bucket").asUint())}] =
-                jw.at("variant").asString();
-        }
-    }
     std::map<ClassVariant, FeatureVector> model;
     if (doc.has("weights")) {
         for (const Json &jm : doc.at("weights").items()) {
@@ -374,7 +355,6 @@ SelectionPredictor::loadJson(const Json &doc)
     // Everything parsed; only now replace the state.
     std::lock_guard<std::mutex> lock(mu);
     kernelFeats = std::move(feats);
-    winners = std::move(wins);
     weights = std::move(model);
     examples_ = examples;
     demotions_ = demotions;

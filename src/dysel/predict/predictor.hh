@@ -7,41 +7,42 @@
  * fingerprint, size-bucket) key pays a full profiling pass even when
  * the store already holds the answer for a structurally identical
  * kernel one bucket over.  The SelectionPredictor turns the store's
- * own profiling history into warm starts for keys it has never seen,
- * trained online from every completed profiling pass the store
+ * own profiling history into warm starts for keys the store has never
+ * seen, trained online from every completed profiling pass the store
  * records (SelectionStore::setProfileObserver -- the training feed;
  * there is no parallel log).
  *
- * Three evidence sources back a prediction, strongest first:
+ * The store is the predictor's only memory of winners.  Two evidence
+ * sources back a prediction, strongest first:
  *
- *   exact        -- the key itself was profiled before (the store's
- *                   record may be gone -- restart with a fresh store,
- *                   administrative invalidation -- but the winner is
- *                   remembered);
- *   interpolated -- a winner recorded at a neighbouring size bucket
- *                   seeds this bucket at confidence decayed per
- *                   bucket of distance (cross-bucket interpolation);
+ *   interpolated -- a valid, measured record at a neighbouring size
+ *                   bucket, read from the store, seeds this bucket at
+ *                   confidence decayed per bucket of distance
+ *                   (cross-bucket interpolation);
  *   model        -- a per-device-class linear model over the kernel
  *                   feature vector (features.hh), updated
  *                   perceptron-style from every training example, for
- *                   keys with no recorded neighbour at all.
+ *                   keys with no measured neighbour at all.
  *
  * Every raw confidence is multiplied by a *calibration* factor: the
  * predictor shadow-evaluates itself against each incoming training
  * example (would I have predicted this winner?) and keeps a smoothed
  * hit rate.  Mis-predictions demoted by the serving layer
- * (setDemotionObserver) erase the offending winner and charge extra
- * shadow misses -- a predictor that keeps being wrong talks itself
- * below the confidence threshold and the service falls back to plain
- * micro-profiling.  The guard and drift machinery remain the safety
- * net either way: a predicted selection is a normal store record and
- * is quarantined / invalidated like any other.
+ * (setDemotionObserver) push the model away from the demoted variant
+ * and charge extra shadow misses -- a predictor that keeps being
+ * wrong talks itself below the confidence threshold and the service
+ * falls back to plain micro-profiling.
+ *
+ * The store alone decides when a prediction may stand in for a
+ * profile: SelectionStore::seedPrediction seeds only keys it has never
+ * seen, so every invalidation leads to a profile.
  *
  * All public methods are thread-safe; the dispatch service consults
- * one predictor from all device workers.  toJson()/loadJson()
- * persist the learned state; the serving layer stores it in the
- * selection store's "predictor" extension slot so one file carries
- * both the records and the model.
+ * one predictor from all device workers.  Store reads happen before
+ * the predictor's mutex is taken, so the two locks never nest.
+ * toJson()/loadJson() persist the learned state; the serving layer
+ * stores it in the selection store's "predictor" extension slot so
+ * one file carries both the records and the model.
  */
 #pragma once
 
@@ -50,7 +51,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "compiler/kernel_info.hh"
@@ -62,7 +62,8 @@
 namespace dysel {
 namespace predict {
 
-/** Predictor tuning knobs. */
+/** Predictor configuration (the learning constants live in
+ * predictor.cc). */
 struct PredictorConfig
 {
     /**
@@ -71,49 +72,11 @@ struct PredictorConfig
      * back to micro-profiling.
      */
     double threshold = 0.65;
-
-    /** Perceptron learning rate of the linear model. */
-    double learningRate = 0.15;
-
-    /**
-     * Buckets of distance a recorded winner seeds (cross-bucket
-     * interpolation); 0 disables interpolation.
-     */
-    unsigned interpolationRadius = 2;
-
-    /** Confidence multiplier per bucket of interpolation distance. */
-    double interpolationDecay = 0.8;
-
-    /** Raw confidence of an exact recorded winner. */
-    double exactConfidence = 0.98;
-
-    /** Raw confidence cap of the linear model. */
-    double modelCap = 0.9;
-
-    /**
-     * Model margin under which a correct prediction still reinforces
-     * its winner's weights (lets confidence grow on consistent data;
-     * a classic perceptron only learns from mistakes).
-     */
-    double reinforceMargin = 2.0;
-
-    /**
-     * Calibration prior: the shadow hit rate starts at
-     * priorCorrect / priorTotal and is updated by every shadow
-     * evaluation.  The prior keeps early predictions below
-     * exactConfidence until the predictor has earned trust.
-     */
-    double priorCorrect = 8.0;
-    double priorTotal = 9.0;
-
-    /** Shadow misses charged per demoted (mis-predicted) selection. */
-    double demotionPenalty = 2.0;
 };
 
 /** Which evidence source backed a prediction. */
 enum class Source {
-    Exact,        ///< this key's own recorded winner
-    Interpolated, ///< a neighbouring bucket's recorded winner
+    Interpolated, ///< a neighbouring bucket's measured store record
     Model,        ///< the per-device-class linear model
 };
 
@@ -125,8 +88,8 @@ struct Prediction
 {
     std::string variant; ///< predicted winning variant (by name)
     double confidence = 0.0; ///< calibrated, in [0, 1]
-    Source source = Source::Exact;
-    /** Bucket distance of the seeding winner (0 unless interpolated). */
+    Source source = Source::Model;
+    /** Bucket distance of the seeding record (0 unless interpolated). */
     unsigned distance = 0;
 };
 
@@ -143,8 +106,9 @@ class SelectionPredictor
     /**
      * Attach kernel-structure features for @p signature (idempotent;
      * typically called with Runtime::findKernelInfo() output on the
-     * serving path).  Signatures without features still predict from
-     * recorded winners; only the model's generalization suffers.
+     * serving path).  Signatures without features still interpolate
+     * from measured neighbours; only the model's generalization
+     * suffers.
      */
     void noteKernel(const std::string &signature,
                     const compiler::KernelInfo &info);
@@ -152,33 +116,34 @@ class SelectionPredictor
     /**
      * Predict the winning variant for (@p signature, @p fingerprint,
      * @p bucket), or nullopt when no evidence source has anything to
-     * say.  The caller compares Prediction::confidence against
+     * say.  Neighbouring buckets' measured records come from
+     * @p store.  The caller compares Prediction::confidence against
      * config().threshold -- predictions below it are still returned
      * (shadow evaluation and diagnostics want them).
      */
-    std::optional<Prediction> predict(const std::string &signature,
+    std::optional<Prediction> predict(const store::SelectionStore &store,
+                                      const std::string &signature,
                                       const std::string &fingerprint,
                                       unsigned bucket) const;
 
     /**
-     * Training feed: one completed profiling pass, as recorded by the
-     * store.  Shadow-evaluates the predictor against the example
-     * (calibration), remembers the winner, and updates the model.
-     * Wired to SelectionStore::setProfileObserver by the serving
-     * layer.
+     * Training feed: one completed profiling pass, as recorded by
+     * @p store.  Shadow-evaluates the predictor against the example
+     * (calibration), then updates the model.  Wired to
+     * SelectionStore::setProfileObserver by the serving layer.
      */
-    void observeProfile(const store::SelectionRecord &rec);
+    void observeProfile(const store::SelectionStore &store,
+                        const store::SelectionRecord &rec);
 
     /**
      * Corrective feed: a *predicted* selection misbehaved (launch
-     * failure or drift) and was demoted to a forced re-profile.
-     * Erases the remembered winner for the key, pushes the model away
-     * from it, and charges the calibration penalty.  The re-profile
-     * that follows lands back in observeProfile() as the corrective
-     * example.
+     * failure, drift, blacklist) and was demoted to a forced
+     * re-profile; @p rec is the record as it was before demotion.
+     * Pushes the model away from the demoted variant and charges the
+     * calibration penalty.  The re-profile that follows lands back in
+     * observeProfile() as the corrective example.
      */
-    void observeDemotion(const std::string &signature,
-                         const std::string &fingerprint, unsigned bucket);
+    void observeDemotion(const store::SelectionRecord &rec);
 
     /** Training examples consumed (observeProfile calls). */
     std::uint64_t trainingExamples() const;
@@ -192,10 +157,7 @@ class SelectionPredictor
      */
     double calibration() const;
 
-    /** Recorded (signature, fingerprint, bucket) winners. */
-    std::size_t winnerCount() const;
-
-    /** Drop all learned state (winners, model, calibration). */
+    /** Drop all learned state (model, calibration, features). */
     void clear();
 
     /** Serialize the learned state (deterministic order). */
@@ -204,19 +166,25 @@ class SelectionPredictor
     /**
      * Replace the learned state from toJson() output.  Throws
      * std::runtime_error on a malformed document; the previous state
-     * is left untouched.  The config is not persisted -- thresholds
-     * are operator knobs, not learned state.
+     * is left untouched.  A "winners" array (written by older
+     * versions) is ignored: the store holds the winners.  The config
+     * is not persisted -- thresholds are operator knobs, not learned
+     * state.
      */
     void loadJson(const support::Json &doc);
 
   private:
-    /** (signature, device fingerprint, bucket). */
-    using Key = std::tuple<std::string, std::string, unsigned>;
     /** (device class, variant name). */
     using ClassVariant = std::pair<unsigned, std::string>;
 
+    /**
+     * Calibrated prediction from @p neighbour (the nearest measured
+     * record, uncalibrated) or, without one, from the model.  Caller
+     * holds the lock.
+     */
     std::optional<Prediction>
-    predictLocked(const std::string &signature,
+    predictLocked(const std::optional<Prediction> &neighbour,
+                  const std::string &signature,
                   const std::string &fingerprint, unsigned bucket) const;
 
     /** Feature vector of one prediction key.  Caller holds the lock. */
@@ -230,8 +198,6 @@ class SelectionPredictor
     PredictorConfig cfg_;
     /** Kernel-structure features per signature (noteKernel). */
     std::map<std::string, FeatureVector> kernelFeats;
-    /** Recorded winner per exact key. */
-    std::map<Key, std::string> winners;
     /** Linear model: one weight vector per (device class, variant). */
     std::map<ClassVariant, FeatureVector> weights;
     std::uint64_t examples_ = 0;

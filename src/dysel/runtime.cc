@@ -769,13 +769,6 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
                 st->guardEvents.push_back(
                     {entry.variants[act[j]].name,
                      guard::checkKindName(ck)});
-                if (tracing()) {
-                    tracer_->instant(
-                        traceTrack, "guard.strike", dev.now(),
-                        activeCorrelation,
-                        {{"variant", entry.variants[act[j]].name},
-                         {"check", guard::checkKindName(ck)}});
-                }
             };
             if (mode != ProfilingMode::Fully) {
                 // Self checks on each variant's private clones (in
@@ -974,14 +967,6 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             st->guardEvents.push_back(
                 {entry.variants[act[j]].name,
                  guard::checkKindName(guard::CheckKind::Watchdog)});
-            if (tracing()) {
-                tracer_->instant(
-                    traceTrack, "guard.strike", dev.now(),
-                    activeCorrelation,
-                    {{"variant", entry.variants[act[j]].name},
-                     {"check", guard::checkKindName(
-                                   guard::CheckKind::Watchdog)}});
-            }
         }
         if (!any_hung)
             support::panic("profiling did not complete for '%s'",

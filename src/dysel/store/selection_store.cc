@@ -300,26 +300,20 @@ SelectionStore::seedPrediction(const std::string &signature,
         return;
     std::lock_guard<std::mutex> lock(mu);
     const unsigned bucket = bucketOf(units);
-    SelectionRecord &rec = recs[Key{signature, device, bucket}];
-    if (rec.valid && !rec.signature.empty() && !rec.predicted)
-        return; // a measured record outranks any prediction
-    const std::uint64_t launches = rec.launches;
-    const std::uint64_t profiled = rec.profiledLaunches;
-    const std::uint64_t quarantines = rec.quarantines;
-    // The replacement payload's causal history includes the old one.
-    const fed::VersionVec vv = rec.vv;
-    rec = SelectionRecord();
+    // Only a key the store has never seen takes a prediction: any
+    // record -- measured, predicted, or invalidated on purpose --
+    // means the next answer comes from a profile.
+    auto [it, fresh] = recs.try_emplace(Key{signature, device, bucket});
+    if (!fresh)
+        return;
+    SelectionRecord &rec = it->second;
     rec.signature = signature;
     rec.device = device;
     rec.bucket = bucket;
     rec.selected = variantIndex;
     rec.selectedName = variantName;
-    rec.launches = launches;
-    rec.profiledLaunches = profiled;
-    rec.quarantines = quarantines;
     rec.predicted = true;
     rec.predictedConfidence = confidence;
-    rec.vv = vv;
     stampLocked(rec);
 }
 

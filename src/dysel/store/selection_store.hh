@@ -289,10 +289,12 @@ class SelectionStore
     /**
      * Seed a *predicted* selection for (@p signature, @p device,
      * bucketOf(@p units)): a valid record that serves @p variantName
-     * without any profiling having run.  No-op when a valid record
-     * already covers the key (measurements outrank predictions).
-     * The record carries no per-variant profiles, so the first drift
-     * or failure invalidates it outright -- the safety net for a bad
+     * without any profiling having run.  Only a key the store holds
+     * no record of is seeded; any record, valid or invalidated, makes
+     * this a no-op, so every invalidation (drift, quarantine cooldown,
+     * probation, blacklist, invalidate()) leads to a profile.  The
+     * record carries no per-variant profiles, so the first drift or
+     * failure invalidates it outright -- the safety net for a bad
      * prediction is a forced profile, never a guessier guess.
      */
     void seedPrediction(const std::string &signature,

@@ -357,7 +357,6 @@ AdminPlane::predictorPage() const
     j.set("calibration", predictor_->calibration());
     j.set("training_examples",
           static_cast<std::uint64_t>(predictor_->trainingExamples()));
-    j.set("winners", static_cast<std::uint64_t>(predictor_->winnerCount()));
     j.set("demotions", static_cast<std::uint64_t>(predictor_->demotions()));
     resp.body = j.dump(2) + "\n";
     return resp;

@@ -19,7 +19,10 @@
  *                       Status payload)
  *   /debug/trace?last=N tail of the trace ring as JSON events
  *   /debug/audit        selection-audit state (regret EMAs, totals)
- *   /debug/predictor    predictor calibration / shadow hit rate
+ *   /debug/predictor    predictor state: attached, threshold,
+ *                       calibration (the shadow hit rate),
+ *                       training_examples, demotions -- the winners
+ *                       themselves are the store's records
  *   /debug/peers        federation sync state: per-peer cursors,
  *                       incarnations, failures, lease table size
  *   /fed/...              federation wire protocol (delta/lease/info),

@@ -121,16 +121,10 @@ publishDone(std::shared_ptr<detail::JobState> state, JobResult res)
     state.reset();
 }
 
-/** The guard.<check> row of a guard detection. */
-Event
-guardCheckEvent(const std::string &check)
-{
-    const std::size_t row = findEvent("guard." + check);
-    if (row == eventCount)
-        support::panic("guard check '%s' has no event row",
-                       check.c_str());
-    return static_cast<Event>(row);
-}
+/** The guard.<check> row of each guard::CheckKind, in enum order. */
+constexpr Event kGuardCheckEvents[] = {
+    event("guard.mismatch"), event("guard.redzone"), event("guard.nan"),
+    event("guard.watchdog")};
 
 } // namespace
 
@@ -265,17 +259,16 @@ DispatchService::setPredictor(predict::SelectionPredictor *predictor)
     // The training feed: every completed profiling pass the store
     // records becomes one online training example.
     store_.setProfileObserver([this](const store::SelectionRecord &rec) {
-        predictor_->observeProfile(rec);
+        predictor_->observeProfile(store_, rec);
         emit(currentWorker, event("predict.train"), 0);
     });
     // The corrective feed: a predicted selection that drifted,
     // failed, or got blacklisted is demoted back to a forced profile;
-    // tell the predictor so it unlearns the winner and pays the
-    // calibration penalty.
+    // tell the predictor so it pushes the model away from the variant
+    // and pays the calibration penalty.
     store_.setDemotionObserver(
         [this](const store::SelectionRecord &rec) {
-            predictor_->observeDemotion(rec.signature, rec.device,
-                                        rec.bucket);
+            predictor_->observeDemotion(rec);
             Worker *w = currentWorker;
             emit(w, event("predict.demoted"), w ? w->currentJob : 0, 1,
                  {{"signature", rec.signature},
@@ -341,15 +334,23 @@ DispatchService::addDevice(std::unique_ptr<sim::Device> device)
                 noteObservation(*w, store_.observePlain(w->fingerprint, r),
                                 r.signature);
             }
-            // Guard telemetry: one "guard.<check>" count per
-            // detection, reconcilable 1:1 with the fault injector's
-            // variant-fault log.
-            for (const auto &ev : r.guardEvents)
-                emit(w, guardCheckEvent(ev.check), job);
             if (r.guardExcluded > 0)
                 emit(w, event("guard.excluded"), job, r.guardExcluded);
             if (r.guardRepairs > 0)
                 emit(w, event("guard.repair"), job, r.guardRepairs);
+        });
+
+    // Guard telemetry: one "guard.<check>" count and guard.strike
+    // instant per detection, emitted where the strike happens (a
+    // launch that strikes and then fails still accounts it),
+    // reconcilable 1:1 with the fault injector's variant-fault log.
+    w->rt->guard().setStrikeObserver(
+        [this, w = w.get()](const std::string &, const std::string &variant,
+                            guard::CheckKind check) {
+            emit(w, kGuardCheckEvents[static_cast<std::size_t>(check)],
+                 w->currentJob, 1,
+                 {{"variant", variant},
+                  {"check", guard::checkKindName(check)}});
         });
 
     // Persist guard blacklistings: a variant that struck out on this
@@ -1206,13 +1207,17 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
 
     // Store lookup with the guard's blacklist applied: a stored
     // winner that was since blacklisted (e.g. on a peer worker) is
-    // treated as a miss so the key re-profiles.
-    auto lookupUsable = [&]() {
+    // treated as a miss so the key re-profiles.  A @p recheck peeks
+    // and stays silent: the job already counted its lookup and any
+    // blocked warm start.
+    auto lookupUsable = [&](bool recheck = false) {
         auto rec =
-            store_.lookup(job.signature, w.fingerprint, job.units);
+            recheck ? store_.peek(job.signature, w.fingerprint, job.units)
+                    : store_.lookup(job.signature, w.fingerprint, job.units);
         if (rec && blacklisted(w, job.signature, rec->selectedName)) {
-            emit(&w, event("guard.blocked_warmstart"), job.id, 1,
-                 {{"variant", rec->selectedName}});
+            if (!recheck)
+                emit(&w, event("guard.blocked_warmstart"), job.id, 1,
+                     {{"variant", rec->selectedName}});
             rec.reset();
         }
         return rec;
@@ -1258,7 +1263,7 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         if (const auto *info = w.rt->findKernelInfo(job.signature))
             predictor_->noteKernel(job.signature, *info);
         const auto pred = predictor_->predict(
-            job.signature, w.fingerprint,
+            store_, job.signature, w.fingerprint,
             store::bucketOf(job.units));
         const bool confident =
             pred
@@ -1304,7 +1309,12 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
             const auto ticket = coalescer.acquire(ckey, job.id);
             if (ticket.leader) {
                 lease = CoalesceLease(coalescer, ckey);
-                emit(&w, event("coalesce.leader"), job.id);
+                // The previous leader may have recorded and released
+                // the key since this job's lookup: re-check first.
+                if ((rec = lookupUsable(true)))
+                    lease = CoalesceLease(); // nothing to profile
+                else
+                    emit(&w, event("coalesce.leader"), job.id);
                 break;
             }
             const std::string leader = std::to_string(ticket.leaderId);
@@ -1344,7 +1354,7 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
              {{"variant", rec->selectedName}});
         emit(&w, event("device.store_hits"), job.id);
     } else {
-        opt.profiling = true;
+        // A miss profiles unless the caller turned profiling off.
         emit(&w, event("store.miss"), job.id);
     }
 

@@ -136,13 +136,13 @@ inline constexpr EventRow eventTable[] = {
      "Cold misses served warm by a peer replica's record."},
 
     // ---- variant guard (one row per guard::CheckKind)
-    {"guard.mismatch", MetricKind::Counter, false, nullptr, nullptr,
+    {"guard.mismatch", MetricKind::Counter, false, "guard.strike", nullptr,
      "Guard detections: output differs from the reference variant."},
-    {"guard.redzone", MetricKind::Counter, false, nullptr, nullptr,
+    {"guard.redzone", MetricKind::Counter, false, "guard.strike", nullptr,
      "Guard detections: canary redzone overwritten."},
-    {"guard.nan", MetricKind::Counter, false, nullptr, nullptr,
+    {"guard.nan", MetricKind::Counter, false, "guard.strike", nullptr,
      "Guard detections: output poisoned with NaN or Inf."},
-    {"guard.watchdog", MetricKind::Counter, false, nullptr, nullptr,
+    {"guard.watchdog", MetricKind::Counter, false, "guard.strike", nullptr,
      "Guard detections: profiling slice never completed."},
     {"guard.excluded", MetricKind::Counter, false, nullptr, nullptr,
      "Variants excluded up front by the blacklist."},

@@ -46,23 +46,24 @@ constexpr unsigned kJobsPerThread = 4;
 /**
  * Schedule-independent kernel: writes 3*u + seed into out[u]
  * regardless of which variant (or which mix of profiling slices)
- * executes each unit, and sleeps a little per group so a concurrent
- * worker gets the CPU mid-launch.
+ * executes each unit, and (with @p yield) sleeps a little per group
+ * so a concurrent worker gets the CPU mid-launch.
  */
 kdp::KernelVariant
 yieldingKernel(const char *name, std::int32_t seed,
-               std::uint64_t flops_per_unit)
+               std::uint64_t flops_per_unit, bool yield = true)
 {
     kdp::KernelVariant v;
     v.name = name;
     v.groupSize = laneCount;
     v.waFactor = 1;
     v.sandboxIndex = {0};
-    v.fn = [seed, flops_per_unit](kdp::GroupCtx &g,
-                                  const kdp::KernelArgs &args) {
+    v.fn = [seed, flops_per_unit, yield](kdp::GroupCtx &g,
+                                         const kdp::KernelArgs &args) {
         auto &out = args.buf<std::int32_t>(0);
         const auto units = static_cast<std::uint64_t>(args.scalarInt(1));
-        std::this_thread::sleep_for(std::chrono::microseconds(30));
+        if (yield)
+            std::this_thread::sleep_for(std::chrono::microseconds(30));
         for (std::uint64_t u = g.unitBase();
              u < g.unitBase() + g.waFactor(); ++u) {
             if (u >= units)
@@ -234,4 +235,62 @@ TEST(CoalesceDifferential, SameOutputsSameStoreLessProfiling)
     EXPECT_GT(uncoalesced.profiledLaunches,
               coalesced.profiledLaunches);
     EXPECT_GT(uncoalesced.profiledUnits, coalesced.profiledUnits);
+}
+
+TEST(Coalesce, DuplicateColdBurstsRecordEachKeyOnce)
+{
+    // Bursts of one cold key at a time, duplicated across two workers:
+    // exactly one profiling pass may record each key.  A job that
+    // missed the store, then won leadership after the previous leader
+    // had recorded and released the key, must find that record
+    // instead of profiling the key again.
+    constexpr unsigned kKeys = 32;
+    constexpr std::size_t kDuplicates = 6;
+
+    store::SelectionStore store;
+    ServiceConfig cfg;
+    cfg.affinity = false; // spread duplicates over both devices
+    DispatchService svc(store, cfg);
+    for (unsigned d = 0; d < 2; ++d)
+        svc.addDevice(std::make_unique<sim::CpuDevice>());
+    svc.registerKernelPool([](runtime::Runtime &rt) {
+           for (unsigned k = 0; k < kKeys; ++k) {
+               const std::string sig = "burst" + std::to_string(k);
+               // Only profiling runs the yielding variant: the
+               // duplicates queue up behind it, warm runs are quick.
+               rt.addKernel(sig, yieldingKernel("slow", 1, 4000));
+               rt.addKernel(sig, yieldingKernel("fast", 1, 100, false));
+               rt.setKernelInfo(sig, regularInfo(sig));
+           }
+       }).throwIfError();
+    svc.start();
+
+    std::vector<kdp::Buffer<std::int32_t>> outs;
+    for (std::size_t i = 0; i < kDuplicates; ++i)
+        outs.emplace_back(kUnits, kdp::MemSpace::Global, "burst.out");
+    std::vector<JobSpec> specs(kDuplicates);
+    for (unsigned k = 0; k < kKeys; ++k) {
+        for (std::size_t i = 0; i < kDuplicates; ++i) {
+            specs[i] = JobSpec();
+            specs[i].signature("burst" + std::to_string(k)).units(kUnits);
+            specs[i].mutableArgs().add(outs[i]).add(
+                static_cast<std::int64_t>(kUnits));
+        }
+        // One submission per job: each is routed on the loads its
+        // predecessors left, so the duplicates alternate devices.
+        std::vector<JobHandle> handles;
+        for (const JobSpec &spec : specs)
+            handles.push_back(submitOne(svc, spec));
+        for (const JobHandle &h : handles)
+            ASSERT_TRUE(h.result().ok()) << h.result().status.toString();
+    }
+    svc.stop();
+
+    EXPECT_EQ(store.size(), std::size_t{kKeys});
+    EXPECT_EQ(svc.metrics().counterValue("store.record"),
+              std::uint64_t{kKeys});
+    EXPECT_EQ(svc.metrics().counterValue("coalesce.leader"),
+              std::uint64_t{kKeys});
+    // The duplicates really overlapped on the two workers.
+    EXPECT_GT(svc.metrics().counterValue("coalesce.follower"), 0u);
 }

@@ -1,16 +1,21 @@
 /**
  * @file
- * Tests for learned selection: feature extraction, the three evidence
- * sources (exact winner, cross-bucket interpolation, linear model),
- * calibration collapse under mis-predictions, model persistence, and
- * the dispatch-service integration -- confident predictions skip
- * micro-profiling entirely, low-confidence keys fall back to it, and
- * a seeded launch fault on a predicted selection demotes it back to a
- * forced profile with the predict.* counters reconciling 1:1 against
- * the injector log.
+ * Tests for learned selection: feature extraction, the two evidence
+ * sources (cross-bucket interpolation from the store's measured
+ * records, linear model), calibration collapse under mis-predictions,
+ * model correction on demotion, model persistence, and the
+ * dispatch-service integration -- confident predictions skip
+ * micro-profiling entirely, low-confidence keys fall back to it, a key
+ * the store invalidated is always re-profiled, and a seeded launch
+ * fault on a predicted selection demotes it back to a forced profile
+ * with the predict.* counters reconciling 1:1 against the injector
+ * log.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "dysel/predict/predictor.hh"
@@ -50,7 +55,7 @@ sampleInfo(const std::string &sig)
     return info;
 }
 
-/** A training example as the store's profile feed delivers it. */
+/** A record as the store's feeds deliver it. */
 store::SelectionRecord
 example(const std::string &sig, const std::string &dev, unsigned bucket,
         const std::string &winner)
@@ -62,6 +67,61 @@ example(const std::string &sig, const std::string &dev, unsigned bucket,
     rec.selected = 0;
     rec.selectedName = winner;
     return rec;
+}
+
+/**
+ * A predictor trained from a store's profile feed, wired the way the
+ * serving layer wires it: the store holds the measured winners, the
+ * predictor learns from each profiling pass the store records.
+ */
+struct Trained
+{
+    store::SelectionStore store;
+    SelectionPredictor p;
+
+    explicit Trained(PredictorConfig cfg = PredictorConfig()) : p(cfg)
+    {
+        store.setProfileObserver([this](const store::SelectionRecord &r) {
+            p.observeProfile(store, r);
+        });
+    }
+
+    /** One profiling pass of (@p sig, @p dev, @p bucket) that picked
+     * @p winner. */
+    void profile(const std::string &sig, const std::string &dev,
+                 unsigned bucket, const std::string &winner)
+    {
+        runtime::LaunchReport r;
+        r.signature = sig;
+        r.profiled = true;
+        r.totalUnits = store::unitsForBucket(bucket);
+        r.selected = 0;
+        r.selectedName = winner;
+        r.profiles = {{winner, 1000, 1100, 950, 128}};
+        store.recordProfile(dev, r);
+    }
+
+    std::optional<Prediction> predict(const std::string &sig,
+                                      const std::string &dev,
+                                      unsigned bucket) const
+    {
+        return p.predict(store, sig, dev, bucket);
+    }
+};
+
+/** The model's weight vector of (@p cls, @p variant) in @p doc. */
+std::vector<double>
+weightsOf(const support::Json &doc, unsigned cls, const std::string &variant)
+{
+    std::vector<double> w;
+    for (const support::Json &jm : doc.at("weights").items()) {
+        if (jm.at("device_class").asUint() == cls
+            && jm.at("variant").asString() == variant) {
+            for (const support::Json &x : jm.at("w").items())
+                w.push_back(x.asNumber());
+        }
+    }
+    return w;
 }
 
 } // namespace
@@ -106,36 +166,38 @@ TEST(Features, ComposeClampsBucketAndClass)
     EXPECT_DOUBLE_EQ(g[11], 0.5);
 }
 
-TEST(Predictor, ExactWinnerPredictsAboveThreshold)
+TEST(Predictor, MeasuredNeighbourPredictsAboveThreshold)
 {
-    SelectionPredictor p;
-    EXPECT_FALSE(p.predict("k", kCpuDev, 10).has_value());
+    Trained t;
+    EXPECT_FALSE(t.predict("k", kCpuDev, 11).has_value());
 
-    p.observeProfile(example("k", kCpuDev, 10, "fast"));
-    EXPECT_EQ(p.trainingExamples(), 1u);
-    EXPECT_EQ(p.winnerCount(), 1u);
+    t.profile("k", kCpuDev, 10, "fast");
+    EXPECT_EQ(t.p.trainingExamples(), 1u);
+    // The winner lives in the store only.
+    EXPECT_EQ(t.store.size(), 1u);
 
-    const auto pred = p.predict("k", kCpuDev, 10);
+    const auto pred = t.predict("k", kCpuDev, 11);
     ASSERT_TRUE(pred.has_value());
     EXPECT_EQ(pred->variant, "fast");
-    EXPECT_EQ(pred->source, Source::Exact);
-    EXPECT_EQ(pred->distance, 0u);
-    // exactConfidence * the calibration prior (8/9) clears the gate.
-    EXPECT_GE(pred->confidence, p.config().threshold);
+    EXPECT_EQ(pred->source, Source::Interpolated);
+    EXPECT_EQ(pred->distance, 1u);
+    // 0.98 * 0.8 per bucket * the calibration prior (8/9) clears the
+    // gate.
+    EXPECT_GE(pred->confidence, t.p.config().threshold);
     EXPECT_LT(pred->confidence, 1.0);
 
-    // Different device fingerprint: the winner does not apply; the
+    // Different device fingerprint: the record does not apply; the
     // model has no GPU-class weights either.
-    EXPECT_FALSE(p.predict("k", kGpuDev, 10).has_value());
+    EXPECT_FALSE(t.predict("k", kGpuDev, 11).has_value());
 }
 
 TEST(Predictor, InterpolationDecaysWithDistance)
 {
-    SelectionPredictor p;
-    p.observeProfile(example("k", kCpuDev, 10, "fast"));
+    Trained t;
+    t.profile("k", kCpuDev, 10, "fast");
 
-    const auto d1 = p.predict("k", kCpuDev, 11);
-    const auto d2 = p.predict("k", kCpuDev, 12);
+    const auto d1 = t.predict("k", kCpuDev, 11);
+    const auto d2 = t.predict("k", kCpuDev, 12);
     ASSERT_TRUE(d1.has_value());
     ASSERT_TRUE(d2.has_value());
     EXPECT_EQ(d1->source, Source::Interpolated);
@@ -144,51 +206,74 @@ TEST(Predictor, InterpolationDecaysWithDistance)
     EXPECT_EQ(d1->distance, 1u);
     EXPECT_EQ(d2->distance, 2u);
     EXPECT_GT(d1->confidence, d2->confidence);
-    // One bucket away still clears the default gate; the exact hit
-    // outranks both.
-    EXPECT_GE(d1->confidence, p.config().threshold);
-    EXPECT_GT(p.predict("k", kCpuDev, 10)->confidence, d1->confidence);
+    // One bucket away still clears the default gate, and outranks
+    // what the model alone says about the measured bucket.
+    EXPECT_GE(d1->confidence, t.p.config().threshold);
+    const auto self = t.predict("k", kCpuDev, 10);
+    ASSERT_TRUE(self.has_value());
+    EXPECT_EQ(self->source, Source::Model);
+    EXPECT_GT(d1->confidence, self->confidence);
 
     // Beyond the radius only the (weak) model speaks.
-    const auto d3 = p.predict("k", kCpuDev, 13);
+    const auto d3 = t.predict("k", kCpuDev, 13);
     ASSERT_TRUE(d3.has_value());
     EXPECT_EQ(d3->source, Source::Model);
-    EXPECT_LT(d3->confidence, p.config().threshold);
+    EXPECT_LT(d3->confidence, t.p.config().threshold);
 
-    // The nearer neighbour wins when both sides have winners.
-    p.observeProfile(example("k", kCpuDev, 13, "slow"));
-    const auto mid = p.predict("k", kCpuDev, 12);
+    // The nearer neighbour wins when both sides have records.
+    t.profile("k", kCpuDev, 13, "slow");
+    const auto mid = t.predict("k", kCpuDev, 12);
     ASSERT_TRUE(mid.has_value());
     EXPECT_EQ(mid->variant, "slow"); // distance 1 beats distance 2
     EXPECT_EQ(mid->distance, 1u);
 }
 
+TEST(Predictor, InterpolationReadsOnlyValidMeasuredRecords)
+{
+    Trained t;
+    t.profile("k", kCpuDev, 10, "fast");
+    ASSERT_EQ(t.predict("k", kCpuDev, 11)->source, Source::Interpolated);
+
+    // An invalidated record is no evidence...
+    t.store.invalidate("k", kCpuDev, 10);
+    const auto gone = t.predict("k", kCpuDev, 11);
+    ASSERT_TRUE(gone.has_value());
+    EXPECT_EQ(gone->source, Source::Model);
+
+    // ...and neither is a predicted one: a guess never seeds a guess.
+    t.store.seedPrediction("k", kCpuDev, store::unitsForBucket(12), 0,
+                           "fast", 0.9);
+    const auto guessed = t.predict("k", kCpuDev, 13);
+    ASSERT_TRUE(guessed.has_value());
+    EXPECT_EQ(guessed->source, Source::Model);
+}
+
 TEST(Predictor, InterpolationClampsAtBucketEdges)
 {
-    // Winners at the extreme buckets: neighbour arithmetic must clamp,
+    // Records at the extreme buckets: neighbour arithmetic must clamp,
     // not wrap -- a bucket-0 winner seeding bucket 63 (or vice versa)
     // would alias workload sizes 2^63 apart.
-    SelectionPredictor p;
-    p.observeProfile(example("lo", kCpuDev, 0, "fast"));
-    p.observeProfile(example("hi", kCpuDev, 63, "slow"));
+    Trained t;
+    t.profile("lo", kCpuDev, 0, "fast");
+    t.profile("hi", kCpuDev, 63, "slow");
 
-    const auto up = p.predict("lo", kCpuDev, 1);
+    const auto up = t.predict("lo", kCpuDev, 1);
     ASSERT_TRUE(up.has_value());
     EXPECT_EQ(up->source, Source::Interpolated);
     EXPECT_EQ(up->distance, 1u);
 
-    const auto down = p.predict("hi", kCpuDev, 62);
+    const auto down = t.predict("hi", kCpuDev, 62);
     ASSERT_TRUE(down.has_value());
     EXPECT_EQ(down->source, Source::Interpolated);
     EXPECT_EQ(down->distance, 1u);
 
     // Across the space: no interpolation evidence (the model may
     // still answer, but never with a recorded-winner source).
-    const auto far = p.predict("lo", kCpuDev, 63);
+    const auto far = t.predict("lo", kCpuDev, 63);
     if (far.has_value()) {
         EXPECT_EQ(far->source, Source::Model);
     }
-    const auto near0 = p.predict("hi", kCpuDev, 0);
+    const auto near0 = t.predict("hi", kCpuDev, 0);
     if (near0.has_value()) {
         EXPECT_EQ(near0->source, Source::Model);
     }
@@ -196,86 +281,115 @@ TEST(Predictor, InterpolationClampsAtBucketEdges)
 
 TEST(Predictor, ModelGeneralizesAcrossSignatures)
 {
-    SelectionPredictor p;
+    Trained t;
     // Two structurally identical kernels on the same device class:
     // training examples for one build model evidence for the other.
-    p.noteKernel("a", sampleInfo("a"));
-    p.noteKernel("b", sampleInfo("b"));
+    t.p.noteKernel("a", sampleInfo("a"));
+    t.p.noteKernel("b", sampleInfo("b"));
     for (int i = 0; i < 8; ++i)
-        p.observeProfile(example("a", kCpuDev, 10, "fast"));
+        t.profile("a", kCpuDev, 10, "fast");
 
-    const auto pred = p.predict("b", kCpuDev, 10);
+    const auto pred = t.predict("b", kCpuDev, 10);
     ASSERT_TRUE(pred.has_value());
     EXPECT_EQ(pred->source, Source::Model);
     EXPECT_EQ(pred->variant, "fast");
     EXPECT_GT(pred->confidence, 0.0);
-    // The model is capped below what a recorded winner would carry.
-    EXPECT_LT(pred->confidence,
-              p.predict("a", kCpuDev, 10)->confidence);
+    // The model is capped (raw 0.9) below what a measured record
+    // carries (raw 0.98).
+    EXPECT_LT(pred->confidence, 0.9 * t.p.calibration());
 }
 
 TEST(Predictor, CalibrationCollapsesUnderDemotions)
 {
-    SelectionPredictor p;
-    p.observeProfile(example("k", kCpuDev, 10, "fast"));
-    ASSERT_GE(p.predict("k", kCpuDev, 10)->confidence,
-              p.config().threshold);
-    const double before = p.calibration();
+    Trained t;
+    t.profile("k", kCpuDev, 10, "fast");
+    ASSERT_GE(t.predict("k", kCpuDev, 11)->confidence,
+              t.p.config().threshold);
+    const double before = t.p.calibration();
 
-    // Each demotion charges demotionPenalty shadow misses; a
+    // Each demotion charges the demotion penalty in shadow misses; a
     // predictor that keeps being wrong talks itself below the gate
-    // even where it still has a recorded winner.
+    // even where it still has a measured neighbour.
     for (int i = 0; i < 5; ++i)
-        p.observeDemotion("other", kCpuDev, 20 + static_cast<unsigned>(i));
-    EXPECT_EQ(p.demotions(), 5u);
-    EXPECT_LT(p.calibration(), before);
-    EXPECT_LT(p.calibration(), 0.5);
-    const auto pred = p.predict("k", kCpuDev, 10);
+        t.p.observeDemotion(example("other", kCpuDev,
+                                    20 + static_cast<unsigned>(i), "fast"));
+    EXPECT_EQ(t.p.demotions(), 5u);
+    EXPECT_LT(t.p.calibration(), before);
+    EXPECT_LT(t.p.calibration(), 0.5);
+    const auto pred = t.predict("k", kCpuDev, 11);
     ASSERT_TRUE(pred.has_value()); // still has an opinion...
-    EXPECT_LT(pred->confidence, p.config().threshold); // ...ungated
+    EXPECT_LT(pred->confidence, t.p.config().threshold); // ...ungated
 }
 
-TEST(Predictor, DemotionUnlearnsTheWinner)
+TEST(Predictor, DemotionPenalizesAndReprofileReestablishes)
 {
-    SelectionPredictor p;
-    p.observeProfile(example("k", kCpuDev, 10, "fast"));
-    ASSERT_EQ(p.predict("k", kCpuDev, 10)->source, Source::Exact);
+    Trained t;
+    t.profile("k", kCpuDev, 10, "fast");
+    ASSERT_EQ(t.predict("k", kCpuDev, 11)->source, Source::Interpolated);
 
-    p.observeDemotion("k", kCpuDev, 10);
-    EXPECT_EQ(p.winnerCount(), 0u);
-    const auto pred = p.predict("k", kCpuDev, 10);
-    // The erased winner no longer backs an exact prediction; at most
-    // the (penalized) model still answers.
+    // The serving layer seeded (k, 11) from that neighbour, and the
+    // seed misbehaved: the demotion costs calibration, so the same
+    // evidence no longer clears the gate.
+    t.p.observeDemotion(example("k", kCpuDev, 11, "fast"));
+    const auto pred = t.predict("k", kCpuDev, 11);
     if (pred.has_value()) {
-        EXPECT_NE(pred->source, Source::Exact);
-        EXPECT_LT(pred->confidence, p.config().threshold);
+        EXPECT_LT(pred->confidence, t.p.config().threshold);
     }
 
-    // The corrective re-profile re-establishes the (new) winner.
-    p.observeProfile(example("k", kCpuDev, 10, "slow"));
-    const auto fixed = p.predict("k", kCpuDev, 10);
+    // The corrective re-profile records the (new) winner, which now
+    // backs its neighbours.
+    t.profile("k", kCpuDev, 11, "slow");
+    const auto fixed = t.predict("k", kCpuDev, 12);
     ASSERT_TRUE(fixed.has_value());
-    EXPECT_EQ(fixed->source, Source::Exact);
+    EXPECT_EQ(fixed->source, Source::Interpolated);
     EXPECT_EQ(fixed->variant, "slow");
+}
+
+TEST(Predictor, DemotingAnInterpolatedPredictionCorrectsTheModel)
+{
+    Trained t;
+    t.p.noteKernel("k", sampleInfo("k"));
+    t.profile("k", kCpuDev, 10, "fast");
+    const auto seed = t.predict("k", kCpuDev, 11);
+    ASSERT_TRUE(seed.has_value());
+    ASSERT_EQ(seed->source, Source::Interpolated);
+    const std::vector<double> before =
+        weightsOf(t.p.toJson(), 0, "fast");
+    ASSERT_EQ(before.size(), kFeatureDim);
+
+    // The demoted record names the variant that was wrong; the model
+    // moves away from it by one learning step along the key's
+    // features.
+    t.p.observeDemotion(example("k", kCpuDev, 11, "fast"));
+    const std::vector<double> after = weightsOf(t.p.toJson(), 0, "fast");
+    ASSERT_EQ(after.size(), kFeatureDim);
+    const FeatureVector f =
+        composeFeatures(kernelFeatures(sampleInfo("k")), 11, 0);
+    for (std::size_t i = 0; i < kFeatureDim; ++i)
+        EXPECT_DOUBLE_EQ(after[i], before[i] - 0.15 * f[i])
+            << featureName(i);
+    EXPECT_LT(after[0], before[0]); // the bias always moves
 }
 
 TEST(Predictor, PersistenceRoundTrip)
 {
-    SelectionPredictor p;
-    p.noteKernel("k", sampleInfo("k"));
-    p.observeProfile(example("k", kCpuDev, 10, "fast"));
-    p.observeProfile(example("k", kCpuDev, 12, "slow"));
-    p.observeDemotion("k", kCpuDev, 12);
+    Trained t;
+    t.p.noteKernel("k", sampleInfo("k"));
+    t.profile("k", kCpuDev, 10, "fast");
+    t.profile("k", kCpuDev, 12, "slow");
+    t.p.observeDemotion(example("k", kCpuDev, 11, "slow"));
 
     SelectionPredictor q;
-    q.loadJson(p.toJson());
-    EXPECT_EQ(q.trainingExamples(), p.trainingExamples());
-    EXPECT_EQ(q.demotions(), p.demotions());
-    EXPECT_DOUBLE_EQ(q.calibration(), p.calibration());
-    EXPECT_EQ(q.winnerCount(), p.winnerCount());
+    q.loadJson(t.p.toJson());
+    EXPECT_EQ(q.trainingExamples(), t.p.trainingExamples());
+    EXPECT_EQ(q.demotions(), t.p.demotions());
+    EXPECT_DOUBLE_EQ(q.calibration(), t.p.calibration());
+    // The document carries no winners: the store holds them.
+    EXPECT_FALSE(t.p.toJson().has("winners"));
+    EXPECT_EQ(q.toJson().dump(), t.p.toJson().dump());
     for (unsigned b = 8; b <= 14; ++b) {
-        const auto a = p.predict("k", kCpuDev, b);
-        const auto c = q.predict("k", kCpuDev, b);
+        const auto a = t.predict("k", kCpuDev, b);
+        const auto c = q.predict(t.store, "k", kCpuDev, b);
         ASSERT_EQ(a.has_value(), c.has_value()) << "bucket " << b;
         if (a.has_value()) {
             EXPECT_EQ(a->variant, c->variant) << "bucket " << b;
@@ -286,28 +400,77 @@ TEST(Predictor, PersistenceRoundTrip)
     }
 }
 
+TEST(Predictor, LoadsOlderDocumentIgnoringWinners)
+{
+    // A document in the format written before the store became the
+    // only memory of winners: it still loads, its "winners" are
+    // ignored, and its model, calibration and examples are intact.
+    const std::string doc = std::string(R"({
+  "version": 1,
+  "examples": 3,
+  "demotions": 1,
+  "shadow_correct": 2,
+  "shadow_total": 4,
+  "features": [],
+  "winners": [
+    {"signature": "k", "device": ")") + kCpuDev + R"(", "bucket": 10,
+     "variant": "slow"}
+  ],
+  "weights": [
+    {"device_class": 0, "variant": "fast",
+     "w": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}
+  ]
+})";
+
+    // Through a store file's "predictor" extension, as dyseld loads it.
+    const std::string path = "predict_test.older.store.json";
+    {
+        store::SelectionStore st;
+        st.setExtension("predictor", support::Json::parse(doc));
+        ASSERT_TRUE(st.saveFile(path).ok());
+    }
+    store::SelectionStore loaded;
+    ASSERT_TRUE(loaded.loadFile(path).ok());
+    std::remove(path.c_str());
+    const auto ext = loaded.extension("predictor");
+    ASSERT_TRUE(ext.has_value());
+
+    SelectionPredictor p;
+    p.loadJson(*ext);
+    EXPECT_EQ(p.trainingExamples(), 3u);
+    EXPECT_EQ(p.demotions(), 1u);
+    EXPECT_DOUBLE_EQ(p.calibration(), (8.0 + 2.0) / (9.0 + 4.0));
+    EXPECT_EQ(weightsOf(p.toJson(), 0, "fast").size(), kFeatureDim);
+    EXPECT_FALSE(p.toJson().has("winners"));
+
+    // The old winner does not serve the key: only the model speaks.
+    const auto pred = p.predict(loaded, "k", kCpuDev, 10);
+    ASSERT_TRUE(pred.has_value());
+    EXPECT_EQ(pred->source, Source::Model);
+    EXPECT_EQ(pred->variant, "fast");
+}
+
 TEST(Predictor, LoadRejectsMalformedDocumentsIntact)
 {
-    SelectionPredictor p;
-    p.observeProfile(example("k", kCpuDev, 10, "fast"));
+    Trained t;
+    t.profile("k", kCpuDev, 10, "fast");
 
-    EXPECT_THROW(p.loadJson(support::Json::parse("{\"version\":99}")),
+    EXPECT_THROW(t.p.loadJson(support::Json::parse("{\"version\":99}")),
                  std::runtime_error);
     // Wrong feature dimensionality inside a weight vector.
     EXPECT_THROW(
-        p.loadJson(support::Json::parse(
+        t.p.loadJson(support::Json::parse(
             R"({"version":1,"weights":[{"device_class":0,)"
             R"("variant":"fast","w":[1,2,3]}]})")),
         std::runtime_error);
     // The failed loads left the learned state untouched.
-    EXPECT_EQ(p.winnerCount(), 1u);
-    EXPECT_TRUE(p.predict("k", kCpuDev, 10).has_value());
+    EXPECT_EQ(t.p.trainingExamples(), 1u);
+    EXPECT_TRUE(t.predict("k", kCpuDev, 10).has_value());
 
-    // clear() drops everything.
-    p.clear();
-    EXPECT_EQ(p.winnerCount(), 0u);
-    EXPECT_EQ(p.trainingExamples(), 0u);
-    EXPECT_FALSE(p.predict("k", kCpuDev, 10).has_value());
+    // clear() drops everything the predictor learned.
+    t.p.clear();
+    EXPECT_EQ(t.p.trainingExamples(), 0u);
+    EXPECT_FALSE(t.predict("k", kCpuDev, 10).has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -426,10 +589,10 @@ TEST(PredictService, ConfidentPredictionSkipsProfiling)
     EXPECT_EQ(h.counter("predict.train"), 1u);
     EXPECT_EQ(h.predictor.trainingExamples(), 1u);
 
-    // Simulate a restart that lost the store but kept the model: the
-    // exact remembered winner serves the key with ZERO profiled units.
-    h.store.clear();
-    const JobResult second = h.run(kUnits);
+    // A neighbouring bucket (twice the units) is a store miss: the
+    // measured record one bucket over serves it with ZERO profiled
+    // units.
+    const JobResult second = h.run(kUnits * 2);
     ASSERT_TRUE(second.ok());
     EXPECT_TRUE(second.predicted);
     EXPECT_TRUE(second.warmStart);
@@ -439,7 +602,7 @@ TEST(PredictService, ConfidentPredictionSkipsProfiling)
 
     // The seeded record is a normal store record: the next launch of
     // the key is a plain warm start, no prediction needed.
-    const JobResult third = h.run(kUnits);
+    const JobResult third = h.run(kUnits * 2);
     ASSERT_TRUE(third.ok());
     EXPECT_TRUE(third.warmStart);
     EXPECT_EQ(h.counter("predict.hit"), 1u);
@@ -476,16 +639,15 @@ TEST(PredictService, MispredictionDemotesToForcedProfile)
 {
     Harness h;
 
-    // Train, then lose the store so the next launch is prediction-
-    // served.
+    // Train one bucket; its neighbour (twice the units) is then
+    // prediction-served.
     ASSERT_TRUE(h.run(kUnits).ok());
-    h.store.clear();
 
     // Seed exactly one launch failure: it lands on the predicted warm
     // launch, which demotes the predicted record, feeds the corrective
     // observer, and retries into a forced (corrective) profile.
     h.faults.failNext(1);
-    const JobResult res = h.run(kUnits);
+    const JobResult res = h.run(kUnits * 2);
     ASSERT_TRUE(res.ok()) << res.status.toString();
     EXPECT_EQ(res.attempts, 2u);
     EXPECT_GT(res.report.profiledUnits, 0u); // the corrective profile
@@ -500,15 +662,91 @@ TEST(PredictService, MispredictionDemotesToForcedProfile)
     EXPECT_EQ(h.counter("predict.train"), 2u);
     EXPECT_EQ(h.predictor.trainingExamples(), 2u);
 
-    // The demotion unlearned the bad winner, and the corrective
-    // example replaced it: a later store loss is served by prediction
-    // again, now backed by the fresh measurement.
-    h.store.clear();
-    const JobResult after = h.run(kUnits);
+    // The corrective example replaced the bad guess with a
+    // measurement: the key now serves warm from it, no prediction
+    // needed.  The demotion cost calibration, so the predictor's own
+    // guess for the next bucket stays below the gate until it earns
+    // trust back.
+    const JobResult after = h.run(kUnits * 2);
     ASSERT_TRUE(after.ok());
-    EXPECT_TRUE(after.predicted);
-    EXPECT_EQ(h.counter("predict.hit"), 2u);
+    EXPECT_TRUE(after.warmStart);
+    EXPECT_FALSE(after.predicted);
+    EXPECT_EQ(after.report.profiledUnits, 0u);
+    EXPECT_EQ(h.counter("predict.hit"), 1u);
     EXPECT_EQ(h.counter("predict.demoted"), 1u); // no new demotion
+    const auto next = h.predictor.predict(
+        h.store, "pk", h.svc.device(0).fingerprint(),
+        store::bucketOf(kUnits * 4));
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->variant, "fast");
+    EXPECT_LT(next->confidence, h.predictor.config().threshold);
+    h.svc.stop();
+}
+
+TEST(PredictService, QuarantineCooldownEndReprofiles)
+{
+    Harness h;
+
+    // Profile the key (fast wins, slow is the runner-up).
+    ASSERT_TRUE(h.run(kUnits).ok());
+
+    // A failed warm launch quarantines the record: it serves the
+    // runner-up for the cooldown, then invalidates itself so the
+    // quarantined variant is re-evaluated by a fresh profile.
+    h.faults.failNext(1);
+    const JobResult demoted = h.run(kUnits);
+    ASSERT_TRUE(demoted.ok()) << demoted.status.toString();
+    EXPECT_EQ(demoted.report.selectedName, "slow");
+    EXPECT_EQ(h.counter("store.quarantine"), 1u);
+    const std::uint64_t cooldown = h.store.config().quarantineCooldown;
+    for (std::uint64_t i = 1; i < cooldown; ++i) {
+        const JobResult r = h.run(kUnits);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.report.selectedName, "slow");
+    }
+    const std::string dev = h.svc.device(0).fingerprint();
+    EXPECT_FALSE(h.store.peek("pk", dev, kUnits).has_value());
+
+    // The invalidated key is re-profiled, never predicted -- the
+    // predictor must not re-serve the quarantined variant.
+    const JobResult reprofiled = h.run(kUnits);
+    ASSERT_TRUE(reprofiled.ok());
+    EXPECT_FALSE(reprofiled.predicted);
+    EXPECT_GT(reprofiled.report.profiledUnits, 0u);
+    EXPECT_EQ(h.counter("predict.hit"), 0u);
+    h.svc.stop();
+}
+
+TEST(PredictService, DriftInvalidationReprofiles)
+{
+    Harness h;
+    ASSERT_TRUE(h.run(kUnits).ok());
+    ASSERT_TRUE(h.run(kUnits).warmStart); // seeds the drift baseline
+
+    // A plain run far off the baseline quarantines the record; the
+    // fallback seeds its own baseline, and drifting off that one too
+    // invalidates the record.
+    const std::string dev = h.svc.device(0).fingerprint();
+    const auto rec = h.store.peek("pk", dev, kUnits);
+    ASSERT_TRUE(rec.has_value());
+    runtime::LaunchReport slow;
+    slow.signature = "pk";
+    slow.fromCache = true;
+    slow.totalUnits = kUnits;
+    slow.endTime = static_cast<sim::TimeNs>(
+        rec->unitTimeNs * 10.0 * static_cast<double>(kUnits));
+    EXPECT_EQ(h.store.observePlain(dev, slow),
+              store::Observation::Quarantined);
+    EXPECT_EQ(h.store.observePlain(dev, slow), store::Observation::Ok);
+    slow.endTime *= 10;
+    EXPECT_EQ(h.store.observePlain(dev, slow),
+              store::Observation::Invalidated);
+
+    const JobResult reprofiled = h.run(kUnits);
+    ASSERT_TRUE(reprofiled.ok());
+    EXPECT_FALSE(reprofiled.predicted);
+    EXPECT_GT(reprofiled.report.profiledUnits, 0u);
+    EXPECT_EQ(h.counter("predict.hit"), 0u);
     h.svc.stop();
 }
 

@@ -211,6 +211,29 @@ TEST(DispatchService, SecondLaunchWarmStartsFromStore)
     EXPECT_EQ(f.svc.metrics().counterValue("store.miss"), 1u);
 }
 
+TEST(DispatchService, ProfilingOffIsKeptOnAStoreMiss)
+{
+    // A job submitted with profiling off is not micro-profiled on a
+    // cold store: it runs the default variant, and nothing is
+    // recorded.
+    ServiceFixture f;
+    Probe p("k", 2048);
+    JobSpec spec = makeJob(p, f.mu);
+    runtime::LaunchOptions opt;
+    opt.profiling = false;
+    spec.options(opt);
+    submitOne(f.svc, spec);
+    f.svc.drain();
+    ASSERT_TRUE(p.result.ok()) << p.result.status.toString();
+    EXPECT_FALSE(p.result.warmStart);
+    EXPECT_FALSE(p.result.report.profiled);
+    EXPECT_EQ(p.result.report.profiledUnits, 0u);
+    EXPECT_EQ(p.result.report.selectedName, "slow"); // the default
+    EXPECT_EQ(f.svc.metrics().counterValue("store.miss"), 1u);
+    EXPECT_EQ(f.svc.metrics().counterValue("store.record"), 0u);
+    EXPECT_EQ(f.store.size(), 0u);
+}
+
 TEST(DispatchService, ChangedSizeBucketReprofiles)
 {
     ServiceFixture f;

@@ -1042,15 +1042,25 @@ TEST(SelectionStore, MeasuredRecordOutranksPrediction)
     EXPECT_FALSE(rec->predicted);
     EXPECT_EQ(rec->selectedName, "fast"); // the measurement stands
 
-    // ...but an invalidated measurement is fair game for a seed.
+    // An invalidated record is not seeded over either: the store
+    // invalidated it on purpose, so the next answer is a profile.
     store.invalidate("k", kDev, bucketOf(2048));
     store.seedPrediction("k", kDev, 2048, 0, "slow", 0.8);
-    rec = store.lookup("k", kDev, 2048);
+    EXPECT_FALSE(store.lookup("k", kDev, 2048).has_value());
+    const auto all = store.records();
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_FALSE(all[0].valid);
+    EXPECT_FALSE(all[0].predicted);
+    EXPECT_EQ(all[0].selectedName, "fast");
+    EXPECT_EQ(all[0].profiledLaunches, 1u);
+
+    // Nor is a predicted record replaced by a second guess.
+    store.seedPrediction("g", kDev, 2048, 1, "fast", 0.7);
+    store.seedPrediction("g", kDev, 2048, 0, "slow", 0.99);
+    rec = store.lookup("g", kDev, 2048);
     ASSERT_TRUE(rec.has_value());
-    EXPECT_TRUE(rec->predicted);
-    EXPECT_EQ(rec->selectedName, "slow");
-    // The lifetime launch counters carried over from the old record.
-    EXPECT_EQ(rec->profiledLaunches, 1u);
+    EXPECT_EQ(rec->selectedName, "fast");
+    EXPECT_DOUBLE_EQ(rec->predictedConfidence, 0.7);
 }
 
 TEST(SelectionStore, ProfileClearsPredictedFlag)

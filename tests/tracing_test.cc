@@ -518,12 +518,13 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
 {
     // Three jobs exercise every predict.* emission path under the
     // tracer: job 1 runs against a cold model (predict.miss, full
-    // profile trains the predictor), job 2 runs after store.clear()
-    // so the exact winner serves a profiling-free predict.hit, and
-    // job 3 is predicted again but its warm launch is scripted to
-    // fail -- the demotion observer fires predict.demoted on the
-    // worker thread under the failing job's correlation id, and the
-    // retry falls back to a corrective profiling pass.
+    // profile trains the predictor), job 2 runs one bucket up so the
+    // measured neighbour serves a profiling-free predict.hit, and
+    // job 3 (one bucket down) is predicted again but its warm launch
+    // is scripted to fail -- the demotion observer fires
+    // predict.demoted on the worker thread under the failing job's
+    // correlation id, and the retry falls back to a corrective
+    // profiling pass.
     FaultInjector faults;
 
     store::SelectionStore store;
@@ -542,17 +543,15 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
     EXPECT_FALSE(r1.predicted);
     EXPECT_GT(r1.report.profiledUnits, 0u);
 
-    store.clear();
-    Probe p2(2048);
+    Probe p2(4096);
     JobHandle h2 = submitOne(svc, stormJob(p2, "k", 5.0f));
     const JobResult r2 = h2.result();
     ASSERT_TRUE(r2.ok()) << r2.status.toString();
     EXPECT_TRUE(r2.predicted);
     EXPECT_EQ(r2.report.profiledUnits, 0u);
 
-    store.clear();
     faults.failNext();
-    Probe p3(2048);
+    Probe p3(1024);
     JobHandle h3 = submitOne(svc, stormJob(p3, "k", 5.0f));
     const JobResult r3 = h3.result();
     ASSERT_TRUE(r3.ok()) << r3.status.toString();
@@ -566,14 +565,15 @@ TEST(TracingService, PredictInstantsCorrelateAndReconcileWithCounters)
     EXPECT_TRUE(eventsOf(events, "predict.hit", h1.id()).empty());
 
     // Job 2: one predict.hit naming the winner, its calibrated
-    // confidence, and the exact-winner evidence source.
+    // confidence, and the interpolated evidence source one bucket
+    // away.
     const auto hits = eventsOf(events, "predict.hit", h2.id());
     ASSERT_EQ(hits.size(), 1u);
     std::map<std::string, std::string> hitArgs(hits[0].args.begin(),
                                                hits[0].args.end());
     EXPECT_FALSE(hitArgs["variant"].empty());
-    EXPECT_EQ(hitArgs["source"], "exact");
-    EXPECT_EQ(hitArgs["distance"], "0");
+    EXPECT_EQ(hitArgs["source"], "interpolated");
+    EXPECT_EQ(hitArgs["distance"], "1");
     EXPECT_GE(std::stod(hitArgs["confidence"]), 0.65);
 
     // Job 3: predicted hit, demotion, then a corrective miss -- all

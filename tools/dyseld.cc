@@ -969,7 +969,6 @@ main(int argc, char **argv)
             try {
                 predictor.loadJson(*model);
                 std::cout << "predictor warm start: "
-                          << predictor.winnerCount() << " winners, "
                           << predictor.trainingExamples()
                           << " examples\n";
             } catch (const std::exception &e) {
@@ -1090,8 +1089,7 @@ main(int argc, char **argv)
                   << "predict: " << counter("predict.hit") << " hits, "
                   << counter("predict.miss") << " misses, "
                   << counter("predict.demoted") << " demotions, "
-                  << counter("predict.train") << " trained; model "
-                  << predictor.winnerCount() << " winners, calibration "
+                  << counter("predict.train") << " trained; calibration "
                   << predictor.calibration() << '\n';
     }
 
