@@ -1,5 +1,6 @@
 #include "replicator.hh"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -64,6 +65,44 @@ splitTarget(const std::string &target, std::string &path,
             query[net::urlDecode(pair)] = "";
         at = amp + 1;
     }
+}
+
+using Query = std::map<std::string, std::string>;
+
+/** Query parameter @p name, or "" when absent. */
+const std::string &
+queryArg(const Query &query, const char *name)
+{
+    static const std::string empty;
+    const auto it = query.find(name);
+    return it == query.end() ? empty : it->second;
+}
+
+/**
+ * Parse query parameter @p name, when non-empty, as a whole number in
+ * @p base into @p out; false when it is anything else (trailing bytes,
+ * a sign on an unsigned field, overflow).  An empty or absent
+ * parameter leaves @p out as it is.
+ */
+template <typename T>
+bool
+queryNumber(const Query &query, const char *name, T &out, int base = 10)
+{
+    const std::string &text = queryArg(query, name);
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
+    return text.empty() || (ec == std::errc() && ptr == end);
+}
+
+/** The typed 400 of a federation request whose @p what is malformed. */
+Replicator::Reply
+badQuery(const std::string &what)
+{
+    Json doc = Json::object();
+    doc.set("code", Json(support::statusCodeName(
+                        support::StatusCode::InvalidArgument)));
+    doc.set("error", Json("malformed or missing query parameter: " + what));
+    return Replicator::Reply{400, doc.dump(0) + "\n"};
 }
 
 /** Every fed.* family the replicator counts, with its HELP text. */
@@ -368,10 +407,11 @@ Replicator::resolveCold(const std::string &signature,
         ownerOf(signature, device, bucket, cfg_.fleetSize);
     const std::string key = keyString(signature, device, bucket);
     const auto t0 = clock::now();
-    const auto waited = [&t0]() {
-        return std::chrono::duration<double, std::milli>(
-                   clock::now() - t0)
-            .count();
+    const auto deadline = t0 + std::chrono::milliseconds(cfg_.leaseWaitMs);
+    const auto resolved = [&t0](bool warm) {
+        return Resolve{warm, std::chrono::duration<double, std::milli>(
+                                 clock::now() - t0)
+                                 .count()};
     };
 
     if (owner == cfg_.replica) {
@@ -380,54 +420,22 @@ Replicator::resolveCold(const std::string &signature,
         // and take over only if the lease expires.
         {
             std::lock_guard<std::mutex> lock(mu);
-            auto it = leases_.find(key);
-            if (it == leases_.end() || it->second.expiry < clock::now()
-                || it->second.holder == cfg_.replica) {
-                it = leases_
-                         .insert_or_assign(
-                             key,
-                             Lease{cfg_.replica,
-                                   clock::now()
-                                       + std::chrono::milliseconds(
-                                           cfg_.leaseTimeoutMs)})
-                         .first;
+            if (grantLocked(key, cfg_.replica)) {
                 count("fed.own_local");
-                Resolve r;
-                r.kind = Resolve::LocalProfile;
-                r.waitedMs = waited();
-                return r;
+                return resolved(false);
             }
         }
         count("fed.own_parked");
-        const auto deadline =
-            t0 + std::chrono::milliseconds(cfg_.leaseWaitMs);
-        while (clock::now() < deadline) {
-            if (auto rec = store_.peek(signature, device, units)) {
-                Resolve r;
-                r.kind = Resolve::Warm;
-                r.ownerCid = rec->profileCid;
-                r.profileOrigin = rec->profileOrigin;
-                r.waitedMs = waited();
-                count("fed.warm");
-                return r;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(cfg_.leasePollMs));
-        }
+        if (park(signature, device, units, deadline, nullptr) == Park::Warm)
+            return resolved(true);
         // The grantee never delivered: take the lease back.
         {
             std::lock_guard<std::mutex> lock(mu);
-            leases_.insert_or_assign(
-                key, Lease{cfg_.replica,
-                           clock::now()
-                               + std::chrono::milliseconds(
-                                   cfg_.leaseTimeoutMs)});
+            leases_.erase(key);
+            grantLocked(key, cfg_.replica);
         }
         count("fed.own_takeover");
-        Resolve r;
-        r.kind = Resolve::LocalProfile;
-        r.waitedMs = waited();
-        return r;
+        return resolved(false);
     }
 
     // Follower: find the owner's address (learned from handshakes).
@@ -445,93 +453,89 @@ Replicator::resolveCold(const std::string &signature,
         for (std::size_t i = 0; i < peers_.size(); ++i)
             probePeer(i);
         addr = ownerAddr();
-        if (addr.second == 0) {
-            count("fed.fallback");
-            Resolve r;
-            r.kind = Resolve::Fallback;
-            r.waitedMs = waited();
-            return r;
-        }
+    }
+    const auto fallback = [this] {
+        count("fed.fallback");
+        return Park::Cold;
+    };
+    if (addr.second == 0) {
+        fallback();
+        return resolved(false);
     }
 
+    // One lease request per parked round: the owner answers with the
+    // record, a lease of our own, or "wait".
     const std::string target =
         "/fed/lease?sig=" + net::urlEncode(signature)
         + "&device=" + net::urlEncode(device)
         + "&bucket=" + std::to_string(bucket)
         + "&requester=" + std::to_string(cfg_.replica);
-    const auto deadline =
-        t0 + std::chrono::milliseconds(cfg_.leaseWaitMs);
-    while (clock::now() < deadline) {
-        // The record may arrive by gossip while we park.
-        if (auto rec = store_.peek(signature, device, units)) {
-            Resolve r;
-            r.kind = Resolve::Warm;
-            r.ownerCid = rec->profileCid;
-            r.profileOrigin = rec->profileOrigin;
-            r.waitedMs = waited();
-            count("fed.warm");
-            return r;
-        }
+    const auto askOwner = [&]() -> Park {
         std::string body;
         int status = 0;
-        const Status st =
-            net::httpGet(addr.first, addr.second, target, body,
-                         status, cfg_.httpTimeoutMs);
-        if (!st.ok() || status != 200) {
-            count("fed.fallback");
-            Resolve r;
-            r.kind = Resolve::Fallback;
-            r.waitedMs = waited();
-            return r;
-        }
+        const Status st = net::httpGet(addr.first, addr.second, target,
+                                       body, status, cfg_.httpTimeoutMs);
+        if (!st.ok() || status != 200)
+            return fallback();
         try {
             const Json doc = Json::parse(body);
             const std::string &state = doc.at("status").asString();
             if (state == "record") {
-                const auto rec =
-                    store::recordFromJson(doc.at("record"));
-                store_.applyRemoteRecord(rec);
-                if (auto got =
-                        store_.peek(signature, device, units)) {
-                    Resolve r;
-                    r.kind = Resolve::Warm;
-                    r.ownerCid = got->profileCid;
-                    r.profileOrigin = got->profileOrigin;
-                    r.waitedMs = waited();
-                    count("fed.warm");
-                    return r;
-                }
+                store_.applyRemoteRecord(
+                    store::recordFromJson(doc.at("record")));
                 // Blacklisted/invalid on arrival: profile locally.
-                count("fed.fallback");
-                Resolve r;
-                r.kind = Resolve::Fallback;
-                r.waitedMs = waited();
-                return r;
+                return store_.lookup(signature, device, units)
+                           ? Park::Warm
+                           : fallback();
             }
             if (state == "granted") {
                 count("fed.lease_granted");
-                Resolve r;
-                r.kind = Resolve::LeaseGranted;
-                r.waitedMs = waited();
-                return r;
+                return Park::Cold;
             }
             // "wait": someone is profiling; stay parked.
             count("fed.parked");
+            return Park::Wait;
         } catch (const std::exception &) {
-            count("fed.fallback");
-            Resolve r;
-            r.kind = Resolve::Fallback;
-            r.waitedMs = waited();
-            return r;
+            return fallback();
         }
+    };
+    const Park outcome = park(signature, device, units, deadline, askOwner);
+    if (outcome == Park::Wait)
+        fallback(); // the lease wait timed out
+    return resolved(outcome == Park::Warm);
+}
+
+Replicator::Park
+Replicator::park(const std::string &signature, const std::string &device,
+                 std::uint64_t units, clock::time_point deadline,
+                 const std::function<Park()> &poll)
+{
+    while (clock::now() < deadline) {
+        // The record may arrive by gossip while we park.
+        const Park p = store_.lookup(signature, device, units) ? Park::Warm
+                       : poll                                  ? poll()
+                                                               : Park::Wait;
+        if (p == Park::Warm)
+            count("fed.warm");
+        if (p != Park::Wait)
+            return p;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(cfg_.leasePollMs));
     }
-    count("fed.fallback");
-    Resolve r;
-    r.kind = Resolve::Fallback;
-    r.waitedMs = waited();
-    return r;
+    return Park::Wait;
+}
+
+bool
+Replicator::grantLocked(const std::string &key, std::uint32_t holder)
+{
+    auto it = leases_.find(key);
+    if (it != leases_.end() && it->second.expiry >= clock::now()
+        && it->second.holder != holder)
+        return false;
+    leases_.insert_or_assign(
+        key, Lease{holder, clock::now() + std::chrono::milliseconds(
+                                              cfg_.leaseTimeoutMs)});
+    return true;
 }
 
 Replicator::Reply
@@ -553,13 +557,11 @@ Replicator::Reply
 Replicator::deltaReply(const std::map<std::string, std::string> &query)
 {
     std::uint64_t since = 0;
-    auto it = query.find("since");
-    if (it != query.end() && !it->second.empty())
-        since = std::stoull(it->second);
+    if (!queryNumber(query, "since", since))
+        return badQuery("since");
     // A cursor minted against a previous incarnation of this process
     // indexes a seq space that no longer exists: serve everything.
-    it = query.find("inc");
-    if (it == query.end() || it->second != hex16(incarnation_))
+    if (queryArg(query, "inc") != hex16(incarnation_))
         since = 0;
     const auto changes = store_.changedSince(since);
     Delta delta;
@@ -576,52 +578,41 @@ Replicator::deltaReply(const std::map<std::string, std::string> &query)
 Replicator::Reply
 Replicator::leaseReply(const std::map<std::string, std::string> &query)
 {
-    const auto arg = [&query](const char *name) -> const std::string & {
-        static const std::string empty;
-        auto it = query.find(name);
-        return it == query.end() ? empty : it->second;
-    };
-    const std::string &sig = arg("sig");
-    const std::string &device = arg("device");
+    const std::string &sig = queryArg(query, "sig");
+    const std::string &device = queryArg(query, "device");
     if (sig.empty() || device.empty())
-        return Reply{400, "{\"error\": \"sig and device required\"}\n"};
-    const unsigned bucket = static_cast<unsigned>(
-        arg("bucket").empty() ? 0u : std::stoul(arg("bucket")));
-    const std::uint32_t requester = static_cast<std::uint32_t>(
-        arg("requester").empty() ? 0u : std::stoul(arg("requester")));
+        return badQuery("sig and device");
+    unsigned bucket = 0;
+    std::uint32_t requester = 0;
+    if (!queryNumber(query, "bucket", bucket))
+        return badQuery("bucket");
+    if (!queryNumber(query, "requester", requester))
+        return badQuery("requester");
 
     // Already profiled: hand the record over; the lease (if any) is
     // done with.
-    if (auto rec = store_.peek(sig, device,
-                               store::unitsForBucket(bucket))) {
+    const std::string key = keyString(sig, device, bucket);
+    Json doc = Json::object();
+    if (auto rec = store_.lookup(sig, device,
+                                 store::unitsForBucket(bucket))) {
         {
             std::lock_guard<std::mutex> lock(mu);
-            leases_.erase(keyString(sig, device, bucket));
+            leases_.erase(key);
         }
-        Json doc = Json::object();
         doc.set("status", Json("record"));
         doc.set("record", store::recordToJson(*rec));
         count("fed.lease_record");
         return Reply{200, doc.dump(0) + "\n"};
     }
-    const std::string key = keyString(sig, device, bucket);
     std::lock_guard<std::mutex> lock(mu);
-    auto it = leases_.find(key);
-    if (it != leases_.end() && it->second.expiry >= clock::now()
-        && it->second.holder != requester) {
-        Json doc = Json::object();
+    if (grantLocked(key, requester)) {
+        doc.set("status", Json("granted"));
+        count("fed.lease_grant");
+    } else {
         doc.set("status", Json("wait"));
-        doc.set("holder", Json(it->second.holder));
+        doc.set("holder", Json(leases_.at(key).holder));
         count("fed.lease_wait");
-        return Reply{200, doc.dump(0) + "\n"};
     }
-    leases_.insert_or_assign(
-        key, Lease{requester,
-                   clock::now() + std::chrono::milliseconds(
-                                      cfg_.leaseTimeoutMs)});
-    Json doc = Json::object();
-    doc.set("status", Json("granted"));
-    count("fed.lease_grant");
     return Reply{200, doc.dump(0) + "\n"};
 }
 
@@ -633,23 +624,21 @@ Replicator::infoReply(const std::map<std::string, std::string> &query)
     // informs both sides.  Without this the last replica to drain can
     // satisfy its quiescence predicate and exit before its peers ever
     // probe its drained state, stranding them at the barrier.
-    const auto arg = [&query](const char *name) -> const std::string & {
-        static const std::string empty;
-        auto it = query.find(name);
-        return it == query.end() ? empty : it->second;
-    };
-    if (!arg("from").empty()) {
-        const auto from =
-            static_cast<std::int64_t>(std::stoll(arg("from")));
+    std::int64_t from = -1;
+    std::uint64_t digestIn = 0;
+    if (!queryNumber(query, "from", from))
+        return badQuery("from");
+    if (!queryNumber(query, "digest", digestIn, 16))
+        return badQuery("digest");
+    if (from >= 0) {
         std::lock_guard<std::mutex> lock(mu);
         for (auto &p : peers_) {
             if (p.replica != from)
                 continue;
-            if (arg("drained") == "1")
+            if (queryArg(query, "drained") == "1")
                 p.sawDrained = true;
-            if (!arg("digest").empty())
-                p.lastDigest =
-                    std::stoull(arg("digest"), nullptr, 16);
+            if (!queryArg(query, "digest").empty())
+                p.lastDigest = digestIn;
             break;
         }
     }

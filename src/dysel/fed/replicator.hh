@@ -31,6 +31,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -124,27 +125,10 @@ class Replicator
     /** What resolveCold() decided for a cold profilable miss. */
     struct Resolve
     {
-        enum Kind {
-            /** Profile here: we own the key (or federation failed
-             *  over).  The in-process coalescer still dedups local
-             *  concurrency. */
-            LocalProfile,
-            /** The replicated record is in the store now: re-lookup
-             *  and serve warm. */
-            Warm,
-            /** The owner granted us the fleet-wide profiling lease:
-             *  profile here; gossip carries the record back. */
-            LeaseGranted,
-            /** Owner unreachable or lease wait timed out: profile
-             *  locally (counted in fed.fallback). */
-            Fallback,
-        };
-        Kind kind = LocalProfile;
-
-        /** Warm only: the owning profile pass's correlation id and
-         *  the replica that ran it -- the cross-replica trace link. */
-        std::uint64_t ownerCid = 0;
-        std::uint32_t profileOrigin = 0;
+        /** The key's record is in the store now: re-read it and serve
+         * warm.  False: profile here -- we own the key, the owner
+         * granted us its lease, or federation fell back (fed.*). */
+        bool warm = false;
 
         /** Milliseconds parked on the remote-pending state. */
         double waitedMs = 0.0;
@@ -217,6 +201,24 @@ class Replicator
         std::uint32_t holder = 0;
         std::chrono::steady_clock::time_point expiry;
     };
+
+    /** A parked cold key: keep waiting (from park(): timed out), its
+     * record is in the store (fed.warm), or profile here. */
+    enum class Park { Wait, Warm, Cold };
+
+    /**
+     * Park on a key another replica profiles until @p deadline: each
+     * round ends Warm once the record is in the store, else asks
+     * @p poll (may be empty), then sleeps leasePollMs.
+     */
+    Park park(const std::string &signature, const std::string &device,
+              std::uint64_t units,
+              std::chrono::steady_clock::time_point deadline,
+              const std::function<Park()> &poll);
+
+    /** Lease @p key to @p holder unless another holder's lease is
+     * live; returns whether it did.  Caller holds mu. */
+    bool grantLocked(const std::string &key, std::uint32_t holder);
 
     void syncLoop();
     /** Pull and apply one peer's delta.  Caller must NOT hold mu. */

@@ -76,7 +76,7 @@ interpolate(const store::SelectionStore &store,
 {
     auto measured = [&](unsigned b) -> std::optional<std::string> {
         auto rec =
-            store.peek(signature, fingerprint, store::unitsForBucket(b));
+            store.lookup(signature, fingerprint, store::unitsForBucket(b));
         if (!rec || rec->predicted)
             return std::nullopt;
         return std::move(rec->selectedName);

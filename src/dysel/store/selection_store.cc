@@ -199,24 +199,17 @@ SelectionStore::lookup(const std::string &signature,
 {
     std::lock_guard<std::mutex> lock(mu);
     auto it = recs.find(Key{signature, device, bucketOf(units)});
-    if (it == recs.end() || !it->second.valid) {
-        ++misses_;
-        return std::nullopt;
-    }
-    ++hits_;
-    return it->second;
-}
-
-std::optional<SelectionRecord>
-SelectionStore::peek(const std::string &signature,
-                     const std::string &device,
-                     std::uint64_t units) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = recs.find(Key{signature, device, bucketOf(units)});
     if (it == recs.end() || !it->second.valid)
         return std::nullopt;
     return it->second;
+}
+
+bool
+SelectionStore::known(const std::string &signature,
+                      const std::string &device, std::uint64_t units) const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return recs.count(Key{signature, device, bucketOf(units)}) > 0;
 }
 
 void
@@ -639,20 +632,6 @@ SelectionStore::records() const
     for (const auto &[key, rec] : recs)
         out.push_back(rec);
     return out;
-}
-
-std::uint64_t
-SelectionStore::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return hits_;
-}
-
-std::uint64_t
-SelectionStore::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return misses_;
 }
 
 std::uint64_t

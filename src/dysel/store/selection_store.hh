@@ -246,22 +246,17 @@ class SelectionStore
 
     /**
      * Valid record for (@p signature, @p device, bucketOf(@p units)),
-     * or nullopt.  Counts toward the hit/miss statistics.
+     * or nullopt.  A pure read: the serving layer counts hits and
+     * misses per job (store.hit / store.miss), the store counts none.
      */
     std::optional<SelectionRecord>
     lookup(const std::string &signature, const std::string &device,
            std::uint64_t units) const;
 
-    /**
-     * Like lookup(), but does NOT count toward the hit/miss
-     * statistics.  The batcher uses this to probe whether a gathered
-     * batch can be served warm without the probe itself skewing the
-     * per-job hit-rate accounting (the fused launch then reports one
-     * aggregate hit via the service's own counters).
-     */
-    std::optional<SelectionRecord>
-    peek(const std::string &signature, const std::string &device,
-         std::uint64_t units) const;
+    /** Whether the store holds any record, valid or invalidated, of
+     * the key: only an unknown key may take a prediction. */
+    bool known(const std::string &signature, const std::string &device,
+               std::uint64_t units) const;
 
     /**
      * Account @p jobs launches served from the record covering
@@ -445,8 +440,6 @@ class SelectionStore
     std::vector<SelectionRecord> records() const;
 
     /** Lifetime statistics. */
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
     std::uint64_t driftInvalidations() const;
     std::uint64_t quarantineCount() const;
 
@@ -516,8 +509,6 @@ class SelectionStore
     std::map<std::string, ExtSlot> extensions;
     std::function<void(const SelectionRecord &)> profileObserver;
     std::function<void(const SelectionRecord &)> demotionObserver;
-    mutable std::uint64_t hits_ = 0;
-    mutable std::uint64_t misses_ = 0;
     std::uint64_t drifts_ = 0;
     std::uint64_t quarantines_ = 0;
     std::uint32_t replica_ = 0;

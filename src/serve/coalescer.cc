@@ -45,12 +45,5 @@ ProfileCoalescer::release(const std::string &key)
     cv.notify_all();
 }
 
-std::size_t
-ProfileCoalescer::inFlight() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return leaders.size();
-}
-
 } // namespace serve
 } // namespace dysel

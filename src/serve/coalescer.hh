@@ -66,11 +66,8 @@ class ProfileCoalescer
     /** End the caller's leadership of @p key and wake its followers. */
     void release(const std::string &key);
 
-    /** Keys currently led (for tests / introspection). */
-    std::size_t inFlight() const;
-
   private:
-    mutable std::mutex mu;
+    std::mutex mu;
     std::condition_variable cv;
     std::map<std::string, std::uint64_t> leaders; ///< key -> job id
 };

@@ -844,37 +844,30 @@ DispatchService::workerLoop(unsigned idx)
              {{"dev", w.dev->name()},
               {"attempt", std::to_string(qj.attempt + 1)}});
 
-        if (config.batch.enabled() && tryRunBatch(idx, qj))
+        // The job's first store read, shared by both paths: a batch
+        // head that stays solo does not read the store again.
+        Resolution r = readStore(w, qj.job);
+        if (config.batch.enabled() && tryRunBatch(idx, qj, r))
             continue;
 
-        JobResult res = runJob(idx, qj);
+        JobResult res = runJob(idx, qj, std::move(r));
         completeSolo(idx, qj, std::move(res));
     }
 }
 
 bool
-DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head)
+DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head,
+                             const Resolution &r)
 {
     Worker &w = *workers[idx];
     if (!Batcher::eligible(head.job))
         return false;
 
-    // One store consult for the whole batch.  peek() keeps the
-    // hit/miss statistics untouched; runBatch() accounts the batch's
-    // members in one go.
-    auto rec = store_.peek(head.job.signature, w.fingerprint,
-                           head.job.units);
-    if (rec && blacklisted(w, head.job.signature, rec->selectedName))
-        rec.reset();
-    const bool profilable =
-        head.job.units >= config.runtime.minUnitsForProfiling
-        && head.job.opt.profiling;
-    if (!rec && profilable) {
-        // Cold but worth profiling: run the head solo so its record
-        // lands in the store; the compatible jobs still queued fuse
-        // behind that record on the very next claim.
+    // Cold but worth profiling: run the head solo so its record lands
+    // in the store; the compatible jobs still queued fuse behind that
+    // record on the very next claim.
+    if (!r.rec && profilable(head.job))
         return false;
-    }
 
     // Gather compatible members, topping up within the bounded-delay
     // window when the batch is under-full.  Every gather extracts
@@ -924,7 +917,7 @@ DispatchService::tryRunBatch(unsigned idx, detail::QueuedJob &head)
     w.batchMembers.push_back(std::move(head));
     std::swap(w.batchMembers.front(), w.batchMembers.back());
 
-    runBatch(idx, rec);
+    runBatch(idx, r.rec);
     return true;
 }
 
@@ -941,15 +934,9 @@ DispatchService::runBatch(unsigned idx,
     const std::string &sig = head.job.signature;
     const std::size_t n = members.size();
     const bool warm = rec.has_value();
-
-    // Keep the runtime's own cache warm with the stored winner so
-    // future solo launches of the signature skip the store round-trip.
-    int variant = -1;
-    if (warm) {
-        variant =
-            variantIndex(*w.rt, sig, rec->selectedName, rec->selected);
-        (void)w.rt->tryImportSelection(sig, variant);
-    }
+    const int variant =
+        warm ? variantIndex(*w.rt, sig, rec->selectedName, rec->selected)
+             : -1;
 
     w.batchSlices.clear();
     std::uint64_t totalUnits = 0;
@@ -971,8 +958,8 @@ DispatchService::runBatch(unsigned idx,
 
     const sim::TimeNs before = w.dev->now();
     runtime::LaunchReport report;
-    const support::Status st = w.rt->launchFused(
-        sig, warm ? variant : -1, w.batchSlices, opt, report);
+    const support::Status st =
+        w.rt->launchFused(sig, variant, w.batchSlices, opt, report);
     const sim::TimeNs elapsed = w.dev->now() - before;
     w.clockNs.store(w.dev->now(), std::memory_order_relaxed);
     const sim::TimeNs share = elapsed / n;
@@ -1015,9 +1002,7 @@ DispatchService::runBatch(unsigned idx,
     observe(w, event("batch.size"), static_cast<double>(n));
     if (warm) {
         store_.noteServed(sig, w.fingerprint, head.job.units, n);
-        emit(&w, event("store.hit"), headId, n,
-             {{"variant", rec->selectedName}});
-        emit(&w, event("device.store_hits"), headId, n);
+        (void)importWarm(w, sig, *rec, headId, n);
     } else {
         // Sub-threshold jobs never produce a record; they still count
         // as misses so hit-rate accounting matches the solo path.
@@ -1173,7 +1158,7 @@ DispatchService::complete(unsigned idx, detail::QueuedJob &qj,
 }
 
 JobResult
-DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
+DispatchService::runJob(unsigned idx, detail::QueuedJob &qj, Resolution r)
 {
     Worker &w = *workers[idx];
     Job &job = qj.job;
@@ -1205,154 +1190,23 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
             w.rt->guard().blacklist(job.signature, variant, reason);
     }
 
-    // Store lookup with the guard's blacklist applied: a stored
-    // winner that was since blacklisted (e.g. on a peer worker) is
-    // treated as a miss so the key re-profiles.  A @p recheck peeks
-    // and stays silent: the job already counted its lookup and any
-    // blocked warm start.
-    auto lookupUsable = [&](bool recheck = false) {
-        auto rec =
-            recheck ? store_.peek(job.signature, w.fingerprint, job.units)
-                    : store_.lookup(job.signature, w.fingerprint, job.units);
-        if (rec && blacklisted(w, job.signature, rec->selectedName)) {
-            if (!recheck)
-                emit(&w, event("guard.blocked_warmstart"), job.id, 1,
-                     {{"variant", rec->selectedName}});
-            rec.reset();
-        }
-        return rec;
-    };
-
-    auto rec = lookupUsable();
-    const bool profilable =
-        job.units >= config.runtime.minUnitsForProfiling
-        && job.opt.profiling;
-
-    // Fleet federation (DESIGN §13): on a profilable cold miss, ask
-    // the replication layer who pays the fleet's single profiling
-    // pass for this key.  Warm means the owner's record is in our
-    // store now (gossiped or fetched with the lease); LeaseGranted /
-    // LocalProfile / Fallback all fall through to the predictor and
-    // the in-process coalescer, which dedup local concurrency as
-    // usual.
-    if (!rec && fed_ && profilable) {
-        const auto rs = fed_->resolveCold(job.signature,
-                                          w.fingerprint, job.units);
-        if (rs.kind == fed::Replicator::Resolve::Warm) {
-            rec = lookupUsable();
-            if (rec) {
-                // owner_cid is the profiling pass's correlation id ON
-                // THE OWNER REPLICA: merging both replicas' trace
-                // files lines this instant up with the remote profile
-                // spans that produced the record.
-                emit(&w, event("fed.warm_hit"), job.id, 1,
-                     {{"owner_cid", std::to_string(rs.ownerCid)},
-                      {"owner_replica", std::to_string(rs.profileOrigin)},
-                      {"waited_ms", std::to_string(rs.waitedMs)}});
-            }
-        }
-    }
-
-    // Learned selection: on a profilable store miss, ask the
-    // predictor before paying for a profiling pass (or queueing up
-    // behind one).  A confident prediction seeds the store and the
-    // job runs warm with zero profiled units; the drift/guard
-    // machinery remains the safety net and demotes a bad prediction
-    // back to a forced profile.
-    if (!rec && predictor_ && profilable) {
-        if (const auto *info = w.rt->findKernelInfo(job.signature))
-            predictor_->noteKernel(job.signature, *info);
-        const auto pred = predictor_->predict(
-            store_, job.signature, w.fingerprint,
-            store::bucketOf(job.units));
-        const bool confident =
-            pred
-            && pred->confidence >= predictor_->config().threshold;
-        if (confident) {
-            // Resolve the predicted variant by name; an unknown or
-            // blacklisted variant voids the prediction.
-            const int variant =
-                variantIndex(*w.rt, job.signature, pred->variant);
-            if (variant >= 0
-                && !blacklisted(w, job.signature, pred->variant)) {
-                store_.seedPrediction(job.signature, w.fingerprint,
-                                      job.units, variant,
-                                      pred->variant,
-                                      pred->confidence);
-                rec = lookupUsable();
-            }
-        }
-        if (rec) {
-            res.predicted = true;
-            emit(&w, event("predict.hit"), job.id, 1,
-                 {{"variant", pred->variant},
-                  {"confidence", fixedStr(pred->confidence, 3)},
-                  {"source", predict::sourceName(pred->source)},
-                  {"distance", std::to_string(pred->distance)}});
-        } else {
-            emit(&w, event("predict.miss"), job.id, 1,
-                 {{"confidence",
-                   pred ? fixedStr(pred->confidence, 3) : "none"}});
-        }
-    }
-
-    // Profiling coalescing: a miss on a profilable job bids for
-    // leadership of its (signature, fingerprint, bucket).  Losers
-    // wait for the leader's record and ride it warm; a leader that
-    // failed to record hands leadership to one of its followers.
-    CoalesceLease lease;
-    if (config.coalesce && profilable) {
-        const std::string ckey = ProfileCoalescer::key(
-            job.signature, w.fingerprint,
-            store::bucketOf(job.units));
-        while (!rec) {
-            const auto ticket = coalescer.acquire(ckey, job.id);
-            if (ticket.leader) {
-                lease = CoalesceLease(coalescer, ckey);
-                // The previous leader may have recorded and released
-                // the key since this job's lookup: re-check first.
-                if ((rec = lookupUsable(true)))
-                    lease = CoalesceLease(); // nothing to profile
-                else
-                    emit(&w, event("coalesce.leader"), job.id);
-                break;
-            }
-            const std::string leader = std::to_string(ticket.leaderId);
-            emit(&w, event("coalesce.follower"), job.id, 1,
-                 {{"leader", leader}, {"signature", job.signature}});
-            coalescer.awaitRelease(ckey);
-            rec = lookupUsable();
-            if (rec) {
-                res.coalescedWith = ticket.leaderId;
-                emit(&w, event("coalesce.hit"), job.id, 1,
-                     {{"leader", leader}, {"variant", rec->selectedName}});
-            } else {
-                // The leader released without recording (fault,
-                // guard storm): bid again -- one follower becomes
-                // the new leader, the rest keep waiting.
-                emit(&w, event("coalesce.leader_failed"), job.id);
-            }
-        }
-    }
+    resolve(w, job, r);
+    res.predicted = r.predicted;
+    res.coalescedWith = r.coalescedWith;
 
     runtime::LaunchOptions opt = job.opt;
     // The job id doubles as the trace correlation id: every span the
     // runtime emits for this launch carries it.
     opt.correlationId = job.id;
-    if (rec) {
+    if (r.rec) {
         // Warm start: run the stored winner, skip profiling.
-        const int variant = variantIndex(*w.rt, job.signature,
-                                         rec->selectedName, rec->selected);
-        if (auto st = w.rt->tryImportSelection(job.signature, variant);
+        if (auto st = importWarm(w, job.signature, *r.rec, job.id, 1);
             !st.ok()) {
             res.status = std::move(st);
             return res;
         }
         opt.profiling = false;
         res.warmStart = true;
-        emit(&w, event("store.hit"), job.id, 1,
-             {{"variant", rec->selectedName}});
-        emit(&w, event("device.store_hits"), job.id);
     } else {
         // A miss profiles unless the caller turned profiling off.
         emit(&w, event("store.miss"), job.id);
@@ -1373,9 +1227,9 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
         // the probe time is never charged to the job's latency.
         // Predicted records carry no profiles, so they are excluded
         // naturally (no runner-up to probe).
-        if (auditor_ && res.warmStart && !res.report.profiled && rec
-            && rec->profiles.size() >= 2 && auditor_->shouldSample())
-            auditWarmHit(idx, qj, *rec);
+        if (auditor_ && res.warmStart && !res.report.profiled
+            && r.rec->profiles.size() >= 2 && auditor_->shouldSample())
+            auditWarmHit(idx, qj, *r.rec);
     } else if (res.warmStart
                && retryableCode(res.status.code())) {
         // The stored selection failed to even launch: demote it so
@@ -1385,10 +1239,155 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj)
                                              job.units),
                         job.signature);
     }
-    // The coalesce lease (when held) releases here: the profiled
-    // record is in the store -- or the attempt failed and a follower
-    // takes over.
+    // The coalesce lease (when held) releases with @p r as this
+    // returns: the profiled record is in the store -- or the attempt
+    // failed and a follower takes over.
     return res;
+}
+
+bool
+DispatchService::profilable(const Job &job) const
+{
+    return job.units >= config.runtime.minUnitsForProfiling
+           && job.opt.profiling;
+}
+
+DispatchService::Resolution
+DispatchService::readStore(Worker &w, const Job &job)
+{
+    Resolution r;
+    r.rec = store_.lookup(job.signature, w.fingerprint, job.units);
+    if (r.rec && blacklisted(w, job.signature, r.rec->selectedName)) {
+        // A winner blacklisted after it was stored (on a peer worker,
+        // or before a restart) is a miss: the key re-profiles.
+        emit(&w, event("guard.blocked_warmstart"), job.id, 1,
+             {{"variant", r.rec->selectedName}});
+        r.rec.reset();
+    }
+    return r;
+}
+
+std::optional<store::SelectionRecord>
+DispatchService::storedWinner(const Worker &w, const Job &job) const
+{
+    auto rec = store_.lookup(job.signature, w.fingerprint, job.units);
+    if (rec && blacklisted(w, job.signature, rec->selectedName))
+        rec.reset();
+    return rec;
+}
+
+void
+DispatchService::resolve(Worker &w, const Job &job, Resolution &r)
+{
+    if (r.rec || !profilable(job))
+        return;
+
+    // Fleet federation (DESIGN §13): warm means the key's owner
+    // profiled it and its record is in our store now; otherwise this
+    // replica profiles, behind the predictor and the coalescer.
+    if (fed_) {
+        const auto rs =
+            fed_->resolveCold(job.signature, w.fingerprint, job.units);
+        if (rs.warm && (r.rec = storedWinner(w, job))) {
+            // owner_cid is the profiling pass's correlation id on the
+            // owner replica: it lines this instant up with the remote
+            // profile spans in the owner's trace file.
+            emit(&w, event("fed.warm_hit"), job.id, 1,
+                 {{"owner_cid", std::to_string(r.rec->profileCid)},
+                  {"owner_replica", std::to_string(r.rec->profileOrigin)},
+                  {"waited_ms", std::to_string(rs.waitedMs)}});
+        }
+    }
+
+    // Learned selection, for a key the store has no record of (an
+    // invalidated key wants a profile): a confident prediction seeds
+    // the store and the job runs warm with zero profiled units; drift
+    // and the guard demote a bad one back to a forced profile.
+    if (!r.rec && predictor_
+        && !store_.known(job.signature, w.fingerprint, job.units)) {
+        if (const auto *info = w.rt->findKernelInfo(job.signature))
+            predictor_->noteKernel(job.signature, *info);
+        const auto pred = predictor_->predict(
+            store_, job.signature, w.fingerprint,
+            store::bucketOf(job.units));
+        if (pred && pred->confidence >= predictor_->config().threshold) {
+            // Resolve the predicted variant by name; an unknown or
+            // blacklisted variant voids the prediction.
+            const int variant =
+                variantIndex(*w.rt, job.signature, pred->variant);
+            if (variant >= 0
+                && !blacklisted(w, job.signature, pred->variant)) {
+                store_.seedPrediction(job.signature, w.fingerprint,
+                                      job.units, variant,
+                                      pred->variant,
+                                      pred->confidence);
+                r.rec = storedWinner(w, job);
+            }
+        }
+        if (r.rec) {
+            r.predicted = true;
+            emit(&w, event("predict.hit"), job.id, 1,
+                 {{"variant", pred->variant},
+                  {"confidence", fixedStr(pred->confidence, 3)},
+                  {"source", predict::sourceName(pred->source)},
+                  {"distance", std::to_string(pred->distance)}});
+        } else {
+            emit(&w, event("predict.miss"), job.id, 1,
+                 {{"confidence",
+                   pred ? fixedStr(pred->confidence, 3) : "none"}});
+        }
+    }
+
+    // Profiling coalescing: a miss bids for leadership of its
+    // (signature, fingerprint, bucket).  Losers wait for the leader's
+    // record and ride it warm; a leader that failed to record hands
+    // leadership to one of its followers.
+    if (!config.coalesce)
+        return;
+    const std::string ckey = ProfileCoalescer::key(
+        job.signature, w.fingerprint, store::bucketOf(job.units));
+    while (!r.rec) {
+        const auto ticket = coalescer.acquire(ckey, job.id);
+        if (ticket.leader) {
+            r.lease = CoalesceLease(coalescer, ckey);
+            // The previous leader may have recorded and released the
+            // key since this job's store read: re-check first.
+            if ((r.rec = storedWinner(w, job)))
+                r.lease = CoalesceLease(); // nothing to profile
+            else
+                emit(&w, event("coalesce.leader"), job.id);
+            return;
+        }
+        const std::string leader = std::to_string(ticket.leaderId);
+        emit(&w, event("coalesce.follower"), job.id, 1,
+             {{"leader", leader}, {"signature", job.signature}});
+        coalescer.awaitRelease(ckey);
+        if ((r.rec = storedWinner(w, job))) {
+            r.coalescedWith = ticket.leaderId;
+            emit(&w, event("coalesce.hit"), job.id, 1,
+                 {{"leader", leader}, {"variant", r.rec->selectedName}});
+        } else {
+            // The leader released without recording (fault, guard
+            // storm): bid again -- one follower becomes the new
+            // leader, the rest keep waiting.
+            emit(&w, event("coalesce.leader_failed"), job.id);
+        }
+    }
+}
+
+support::Status
+DispatchService::importWarm(Worker &w, const std::string &sig,
+                            const store::SelectionRecord &rec,
+                            std::uint64_t jobId, std::uint64_t jobs)
+{
+    const int variant =
+        variantIndex(*w.rt, sig, rec.selectedName, rec.selected);
+    if (auto st = w.rt->tryImportSelection(sig, variant); !st.ok())
+        return st;
+    emit(&w, event("store.hit"), jobId, jobs,
+         {{"variant", rec.selectedName}});
+    emit(&w, event("device.store_hits"), jobId, jobs);
+    return support::Status();
 }
 
 bool

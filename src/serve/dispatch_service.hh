@@ -26,7 +26,7 @@
  * (same signature, size bucket, and launch policy; bounded by
  * batch.maxJobs/maxUnits, topped up for batch.windowNs of bounded
  * delay) and runs them as ONE fused launch with per-job output
- * slicing -- one store consult, one device submit.  Handles, done
+ * slicing -- one store read, one device submit.  Handles, done
  * callbacks, deadlines, and tracer correlation stay per job; a fused
  * launch that fails demotes every member to solo re-execution (where
  * the normal retry machinery applies) instead of failing the batch.
@@ -288,7 +288,8 @@ class DispatchService
      * Attach a selection predictor (before start(); nullptr
      * detaches).  The service wires the store's profile feed into the
      * predictor as its online training stream and consults it on
-     * every profilable store miss: a prediction at or above the
+     * every profilable miss of a key the store has no record of (an
+     * invalidated key re-profiles): a prediction at or above the
      * predictor's confidence threshold seeds the store and the job
      * runs warm with zero profiled units (predict.hit); below it the
      * job micro-profiles as usual (predict.miss).  A predicted
@@ -505,18 +506,65 @@ class DispatchService
      */
     void resolveHandles(EventHandles &out, const std::string &device);
 
+    /** Which selection a job runs: readStore() starts, resolve()
+     * completes it. */
+    struct Resolution
+    {
+        /** The record the job runs warm from; none: it runs cold. */
+        std::optional<store::SelectionRecord> rec;
+        bool predicted = false;         ///< rec was seeded for this job
+        std::uint64_t coalescedWith = 0; ///< leader whose record it rode
+        /** Held while the job profiles as its key's coalescing
+         * leader; releasing it wakes the followers. */
+        CoalesceLease lease;
+    };
+
     void workerLoop(unsigned idx);
-    JobResult runJob(unsigned idx, detail::QueuedJob &qj);
+
+    /** Solo run of @p qj from its store read @p r; the coalesce lease
+     * releases on return. */
+    JobResult runJob(unsigned idx, detail::QueuedJob &qj, Resolution r);
+
+    /** Whether @p job may micro-profile on a store miss. */
+    bool profilable(const Job &job) const;
+
+    /**
+     * The first resolution stage, and a batch's only one: the store's
+     * record of @p job's key on @p w's device, unless the guard has
+     * blacklisted its winner since (guard.blocked_warmstart).
+     */
+    Resolution readStore(Worker &w, const Job &job);
+
+    /** readStore()'s filtered read, uncounted: the later re-reads. */
+    std::optional<store::SelectionRecord>
+    storedWinner(const Worker &w, const Job &job) const;
+
+    /**
+     * The later stages, for a profilable job whose store read @p r
+     * missed: federation, the predictor (for a key the store has no
+     * record of), then the coalescer (ride the leader's record, or
+     * lead and hold r.lease).
+     */
+    void resolve(Worker &w, const Job &job, Resolution &r);
+
+    /**
+     * The warm-import step: @p rec's winner becomes @p w's cached
+     * selection of @p sig, and the @p jobs jobs led by @p jobId count
+     * as store hits.  Fails, counting nothing, if the runtime refuses.
+     */
+    support::Status importWarm(Worker &w, const std::string &sig,
+                               const store::SelectionRecord &rec,
+                               std::uint64_t jobId, std::uint64_t jobs);
 
     /**
      * Gather a batch behind @p head (bounded-delay top-up included)
-     * and run it as one fused launch with per-job completion.
-     * Consumes @p head and the gathered members.  Falls back to the
-     * solo path internally when nothing fuses; returns false when
-     * @p head was not even eligible, leaving it untouched for the
-     * solo path.
+     * and run it as one fused launch from the head's store read @p r,
+     * with per-job completion; consumes @p head and the members.
+     * False, @p head untouched for the solo path, when it is
+     * ineligible, a profilable miss, or nothing fuses.
      */
-    bool tryRunBatch(unsigned idx, detail::QueuedJob &head);
+    bool tryRunBatch(unsigned idx, detail::QueuedJob &head,
+                     const Resolution &r);
 
     /** Fused execution of w.batchMembers (head at index 0). */
     void runBatch(unsigned idx,

@@ -125,7 +125,7 @@ inline constexpr EventRow eventTable[] = {
     {"predict.hit", MetricKind::Counter, false, "predict.hit", "predict",
      "Store misses served by a prediction."},
     {"predict.miss", MetricKind::Counter, false, "predict.miss", nullptr,
-     "Store misses the predictor declined to serve."},
+     "Misses of unknown keys whose prediction was not confident."},
     {"predict.demoted", MetricKind::Counter, false, "predict.demoted",
      nullptr, "Predicted selections demoted."},
     {"predict.train", MetricKind::Counter, false, nullptr, nullptr,
@@ -152,7 +152,7 @@ inline constexpr EventRow eventTable[] = {
      "Variants blacklisted by the guard."},
     {"guard.blocked_warmstart", MetricKind::Counter, false,
      "store.blocked_warmstart", nullptr,
-     "Warm starts blocked by a blacklisted winner."},
+     "Jobs whose store read found a since-blacklisted winner."},
 
     // ---- kernel pools
     {"pool.install_failed", MetricKind::Counter, false, nullptr, nullptr,

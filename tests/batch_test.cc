@@ -373,6 +373,55 @@ TEST(Batch, WarmBatchServesFromOneStoreConsult)
 }
 
 /**
+ * store.hit + store.miss count each job exactly once, whichever path
+ * ran it: a cold solo job, a warm batch's head and members, a cold
+ * head that profiled solo before its burst fused behind its record,
+ * and a cold (sub-threshold) batch.
+ */
+TEST(Batch, EveryJobCountsOneStoreHitOrMiss)
+{
+    store::SelectionStore store;
+    ServiceConfig cfg;
+    cfg.batch.maxJobs = 8;
+    cfg.batch.windowNs = 1'000'000;
+    DispatchService svc(store, cfg);
+    svc.addDevice(std::make_unique<sim::CpuDevice>());
+    ASSERT_TRUE(installPool(svc, "bk").ok());
+    svc.start();
+    const auto &m = svc.metrics();
+
+    std::uint64_t jobs = 0;
+    auto burst = [&](std::uint64_t units, std::size_t n) {
+        std::vector<kdp::Buffer<std::int32_t>> outs;
+        for (std::size_t i = 0; i < n; ++i)
+            outs.emplace_back(units, kdp::MemSpace::Global, "bt.out");
+        std::vector<JobSpec> specs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            specs[i].signature("bk").units(units);
+            specs[i].mutableArgs().add(outs[i]).add(
+                static_cast<std::int64_t>(units));
+        }
+        for (const JobHandle &h : svc.submitMany(specs))
+            EXPECT_TRUE(h.result().ok()) << h.result().status.toString();
+        svc.drain();
+        jobs += n;
+        EXPECT_EQ(m.counterValue("store.hit") + m.counterValue("store.miss"),
+                  jobs)
+            << n << " jobs of " << units << " units";
+    };
+    burst(512, 1);  // cold, profilable: profiles solo
+    burst(512, 8);  // warm: one fused launch, head and 7 members
+    burst(1024, 6); // the cold head profiles solo, 5 fuse behind it
+    burst(96, 4);   // below the profiling threshold: a cold batch
+
+    EXPECT_EQ(m.counterValue("store.miss"), 1u + 1u + 4u);
+    EXPECT_EQ(m.counterValue("store.hit"), 8u + 5u);
+    EXPECT_EQ(m.counterValue("batch.launches"), 3u);
+    EXPECT_EQ(m.counterValue("batch.jobs"), 8u + 5u + 4u);
+    svc.stop();
+}
+
+/**
  * Batched and unbatched runs of the same seeded workload produce
  * byte-identical job outputs (XOR-combined per-job FNV digests) --
  * the end-to-end equivalence check over the whole service.

@@ -240,7 +240,7 @@ TEST(Federation, DeltaSyncReplicatesAllItemTypes)
 
     b.rep->syncNow();
 
-    auto rec = b.store.peek("hot0", kDev, 2048);
+    auto rec = b.store.lookup("hot0", kDev, 2048);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->selectedName, "fast");
     // Provenance rides replication: the follower can correlate this
@@ -291,7 +291,7 @@ TEST(Federation, CrashRestartIncarnationForcesFullResync)
 
     a.store.recordProfile(kDev, profiledReport("pre-crash", 2048));
     b.rep->syncNow();
-    ASSERT_TRUE(b.store.peek("pre-crash", kDev, 2048).has_value());
+    ASSERT_TRUE(b.store.lookup("pre-crash", kDev, 2048).has_value());
     const std::uint64_t firstInc = a.rep->incarnation();
 
     // "Crash" replica 0: its replicator dies and its store restarts
@@ -308,14 +308,14 @@ TEST(Federation, CrashRestartIncarnationForcesFullResync)
     EXPECT_NE(a.rep->incarnation(), firstInc);
 
     b.rep->syncNow(); // learns the new incarnation, resyncs from 0
-    EXPECT_TRUE(b.store.peek("post-crash", kDev, 4096).has_value());
+    EXPECT_TRUE(b.store.lookup("post-crash", kDev, 4096).has_value());
     // b still remembers pre-crash (merge never deletes), and a gets
     // it back on its own pull: the fleet re-converges on the union.
-    EXPECT_TRUE(b.store.peek("pre-crash", kDev, 2048).has_value());
+    EXPECT_TRUE(b.store.lookup("pre-crash", kDev, 2048).has_value());
     a.rep->syncNow();
     b.rep->syncNow();
     EXPECT_EQ(a.dump(), b.dump());
-    EXPECT_TRUE(a.store.peek("pre-crash", kDev, 2048).has_value());
+    EXPECT_TRUE(a.store.lookup("pre-crash", kDev, 2048).has_value());
 }
 
 // ---------------------------------------------------------------
@@ -406,6 +406,8 @@ TEST(Federation, ResolveColdFallsBackWhenOwnerIsUnreachable)
     cfg.leaseWaitMs = 300;
     cfg.httpTimeoutMs = 100;
     fed::Replicator rep(store, cfg);
+    support::MetricsRegistry reg;
+    rep.bindMetrics(&reg);
 
     // Find a key replica 1 owns; our cold miss on it needs the peer.
     std::string sig = "hot0";
@@ -431,18 +433,49 @@ TEST(Federation, ResolveColdFallsBackWhenOwnerIsUnreachable)
             .count();
     // Federation is an optimization: a dead owner costs bounded time
     // and degrades to profiling locally, never an error.
-    EXPECT_EQ(rs.kind, fed::Replicator::Resolve::Fallback);
+    EXPECT_FALSE(rs.warm);
+    EXPECT_EQ(reg.counterValue("fed.fallback"), 1u);
+    EXPECT_EQ(reg.counterValue("fed.own_local"), 0u);
     EXPECT_LT(elapsedMs, 5000.0);
 
-    // A key we own resolves to LocalProfile immediately.
+    // A key we own is profiled here, at once.
     std::string mine = "hot0";
     for (int i = 0; !rep.owns(mine, kDev, store::bucketOf(2048))
                     && i < 64;
          ++i)
         mine = "mine" + std::to_string(i);
     ASSERT_TRUE(rep.owns(mine, kDev, store::bucketOf(2048)));
-    EXPECT_EQ(rep.resolveCold(mine, kDev, 2048).kind,
-              fed::Replicator::Resolve::LocalProfile);
+    EXPECT_FALSE(rep.resolveCold(mine, kDev, 2048).warm);
+    EXPECT_EQ(reg.counterValue("fed.own_local"), 1u);
+    EXPECT_EQ(reg.counterValue("fed.fallback"), 1u);
+    EXPECT_EQ(reg.counterValue("fed.warm"), 0u);
+}
+
+TEST(Federation, MalformedQueryNumbersAreTyped400s)
+{
+    store::SelectionStore store;
+    fed::ReplicatorConfig cfg;
+    cfg.fleetSize = 2;
+    fed::Replicator rep(store, cfg);
+    const std::string lease =
+        "/fed/lease?sig=hot0&device=" + net::urlEncode(kDev);
+    const std::vector<std::string> targets = {
+        "/fed/delta?since=zz", "/fed/delta?since=-1",
+        "/fed/delta?since=99999999999999999999",
+        lease + "&bucket=abc", lease + "&bucket=11&requester=1x",
+        "/fed/info?from=q", "/fed/info?from=1&digest=xyz"};
+    for (const std::string &target : targets) {
+        fed::Replicator::Reply r;
+        ASSERT_NO_THROW(r = rep.handleFed(target)) << target;
+        EXPECT_EQ(r.status, 400) << target;
+        const auto doc = support::Json::parse(r.body);
+        EXPECT_EQ(doc.at("code").asString(), "INVALID_ARGUMENT") << target;
+        EXPECT_FALSE(doc.at("error").asString().empty()) << target;
+    }
+    // Well-formed numbers still serve.
+    EXPECT_EQ(rep.handleFed("/fed/delta?since=0").status, 200);
+    EXPECT_EQ(rep.handleFed(lease + "&bucket=11&requester=1").status, 200);
+    EXPECT_EQ(rep.handleFed("/fed/info?from=1&digest=00ff").status, 200);
 }
 
 // ---------------------------------------------------------------

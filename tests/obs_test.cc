@@ -662,7 +662,7 @@ TEST(SelectionAudit, DemotesAPersistentlyRegrettedSelection)
     EXPECT_EQ(auditor.samples(), 3u);
     EXPECT_EQ(auditor.demotions(), 1u);
     EXPECT_EQ(auditor.probeFailures(), 0u);
-    const auto rec = store.peek("k", dev, 512);
+    const auto rec = store.lookup("k", dev, 512);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->quarantinedVariant, 0);
     EXPECT_EQ(rec->selectedName, "fast");

@@ -705,15 +705,18 @@ TEST(PredictService, QuarantineCooldownEndReprofiles)
         EXPECT_EQ(r.report.selectedName, "slow");
     }
     const std::string dev = h.svc.device(0).fingerprint();
-    EXPECT_FALSE(h.store.peek("pk", dev, kUnits).has_value());
+    EXPECT_FALSE(h.store.lookup("pk", dev, kUnits).has_value());
 
     // The invalidated key is re-profiled, never predicted -- the
-    // predictor must not re-serve the quarantined variant.
+    // predictor must not re-serve the quarantined variant, and is not
+    // even asked (no predict.* event for the job).
+    const std::uint64_t missesBefore = h.counter("predict.miss");
     const JobResult reprofiled = h.run(kUnits);
     ASSERT_TRUE(reprofiled.ok());
     EXPECT_FALSE(reprofiled.predicted);
     EXPECT_GT(reprofiled.report.profiledUnits, 0u);
     EXPECT_EQ(h.counter("predict.hit"), 0u);
+    EXPECT_EQ(h.counter("predict.miss"), missesBefore);
     h.svc.stop();
 }
 
@@ -727,7 +730,7 @@ TEST(PredictService, DriftInvalidationReprofiles)
     // fallback seeds its own baseline, and drifting off that one too
     // invalidates the record.
     const std::string dev = h.svc.device(0).fingerprint();
-    const auto rec = h.store.peek("pk", dev, kUnits);
+    const auto rec = h.store.lookup("pk", dev, kUnits);
     ASSERT_TRUE(rec.has_value());
     runtime::LaunchReport slow;
     slow.signature = "pk";
@@ -742,11 +745,13 @@ TEST(PredictService, DriftInvalidationReprofiles)
     EXPECT_EQ(h.store.observePlain(dev, slow),
               store::Observation::Invalidated);
 
+    const std::uint64_t missesBefore = h.counter("predict.miss");
     const JobResult reprofiled = h.run(kUnits);
     ASSERT_TRUE(reprofiled.ok());
     EXPECT_FALSE(reprofiled.predicted);
     EXPECT_GT(reprofiled.report.profiledUnits, 0u);
     EXPECT_EQ(h.counter("predict.hit"), 0u);
+    EXPECT_EQ(h.counter("predict.miss"), missesBefore);
     h.svc.stop();
 }
 

@@ -1063,15 +1063,15 @@ main(int argc, char **argv)
             .cell(r.quarantinedVariant >= 0 ? "yes" : "no");
     }
     srec.print(std::cout);
-    std::cout << "store: " << store.hits() << " hits, " << store.misses()
-              << " misses, " << store.driftInvalidations()
-              << " drift invalidations, " << store.quarantineCount()
-              << " quarantines\n";
 
     // Read-only: a report line must not create the family it reads.
     auto counter = [&](const char *name) {
         return svc.metrics().counterValue(name);
     };
+    std::cout << "store: " << counter("store.hit") << " hits, "
+              << counter("store.miss") << " misses, "
+              << store.driftInvalidations() << " drift invalidations, "
+              << store.quarantineCount() << " quarantines\n";
     if (opt.faultRate > 0.0 || opt.variantFaultRate > 0.0) {
         std::cout << "\n--- fault injection ---\n";
         printInjector("cpu", cpuFaults);
