@@ -52,11 +52,14 @@ main(int argc, char **argv)
             std::printf("\nmicro-profiling (%s, %s):\n",
                         compiler::profilingModeName(report.mode),
                         runtime::orchestrationName(report.orch));
-            for (const auto &p : report.profiles)
+            for (const auto &p : report.profiles) {
+                if (p.units == 0)
+                    continue; // blacklisted or never completed
                 std::printf("  %-18s %9.1f us over %llu units\n",
                             p.name.c_str(),
                             static_cast<double>(p.metric) / 1e3,
                             (unsigned long long)p.units);
+            }
             std::printf("selected '%s' with %llu eager chunks "
                         "dispatched during profiling\n",
                         report.selectedName.c_str(),

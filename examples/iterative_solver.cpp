@@ -45,10 +45,12 @@ main()
             rt.launchKernel(w.signature, w.units, w.args, opt);
         if (it == 0) {
             profile_time = report.elapsed();
+            std::size_t profiled = 0;
+            for (const auto &p : report.profiles)
+                profiled += p.units > 0;
             std::printf("iteration 0: profiled %zu variants, selected "
                         "'%s'\n",
-                        report.profiles.size(),
-                        report.selectedName.c_str());
+                        profiled, report.selectedName.c_str());
         } else if (it == 1) {
             std::printf("iteration %u: cache hit -> '%s' (%s)\n", it,
                         report.selectedName.c_str(),

@@ -81,10 +81,13 @@ main()
                     / static_cast<double>(report.totalUnits));
     std::printf("virtual execution time: %.1f us\n",
                 static_cast<double>(report.elapsed()) / 1e3);
-    for (const auto &p : report.profiles)
+    for (const auto &p : report.profiles) {
+        if (p.units == 0)
+            continue; // blacklisted or never completed
         std::printf("  %-10s measured %8.1f us over %llu units\n",
                     p.name.c_str(), static_cast<double>(p.metric) / 1e3,
                     (unsigned long long)p.units);
+    }
 
     // 5. The output is real: verify it.
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -15,53 +15,37 @@
 namespace dysel {
 namespace runtime {
 
-/** Measured profile of one variant during micro-profiling. */
+/**
+ * What micro-profiling found out about one registered variant: how
+ * fast its slice ran and whether the guard accepted its output.
+ */
 struct VariantProfile
 {
     std::string name;
-    /** Profiling measurement (Fig. 7 span on GPU, task time on CPU). */
+    /**
+     * Profiling measurement (Fig. 7 span on GPU, task time on CPU),
+     * averaged over repeats; 0 for a pass that never completed or was
+     * skipped.
+     */
     sim::TimeNs metric = 0;
-    /** Wall span of the profiling launch. */
+    /** Wall span of the first profiling execution. */
     sim::TimeNs span = 0;
-    /** Sum of work-group busy times. */
+    /** Sum of work-group busy times of the first execution. */
     sim::TimeNs busy = 0;
-    /** Workload units the variant profiled. */
+    /** Workload units the pass profiled (0 if it never completed). */
     std::uint64_t units = 0;
     /** Virtual start/end of the first profiling execution. */
     sim::TimeNs startTime = 0;
     sim::TimeNs endTime = 0;
-};
-
-/**
- * One entry of the structured selection timeline: what happened to
- * one variant during this launch's micro-profiling.
- */
-struct SelectionPass
-{
-    std::string variant;
-    /** Workload units the pass profiled (0 for a skipped variant). */
-    std::uint64_t units = 0;
-    /** Virtual start/end of the pass (0/0 for a skipped variant). */
-    sim::TimeNs startTime = 0;
-    sim::TimeNs endTime = 0;
-    /** Measured cost (profiling metric, averaged over repeats). */
-    sim::TimeNs metric = 0;
     /**
      * Guard verdict of the pass: "pass", a tripped check's name
      * ("mismatch", "redzone", "nan", "watchdog"), or "blacklisted"
      * for a variant excluded before profiling.  "pass" also covers
      * launches with the guard off.
      */
-    std::string guardOutcome;
+    std::string outcome = "pass";
     /** This variant won the selection. */
     bool selected = false;
-};
-
-/** One guard detection during a launch (a variant tripped a check). */
-struct GuardEvent
-{
-    std::string variant; ///< offending variant name
-    std::string check;   ///< guard::checkKindName of the tripped check
 };
 
 /** Everything the runtime can tell about one launch. */
@@ -108,18 +92,14 @@ struct LaunchReport
     /** Eager chunks dispatched before profiling completed (async). */
     std::uint64_t eagerChunks = 0;
 
+    /**
+     * Profiled launches only: one entry per registered variant --
+     * profiled, struck, or excluded -- in registration order, so
+     * profiles[i] describes variant i.  This is the structured record
+     * a serving layer renders as "why did this variant win".
+     */
     std::vector<VariantProfile> profiles;
 
-    /**
-     * Per-pass selection timeline (profiled launches only): one entry
-     * per registered variant -- profiled, struck, or excluded -- in
-     * registration order.  This is the structured record a serving
-     * layer renders as "why did this variant win".
-     */
-    std::vector<SelectionPass> timeline;
-
-    /** Guard detections during this launch (profiled launches only). */
-    std::vector<GuardEvent> guardEvents;
     /** Variants excluded up front because they were blacklisted. */
     std::uint64_t guardExcluded = 0;
     /** Productive slices re-executed after their producer failed. */

@@ -7,8 +7,6 @@
 #include "support/logging.hh"
 #include "support/math_util.hh"
 
-#include "gpu_timer.hh"
-
 namespace dysel {
 namespace runtime {
 
@@ -150,9 +148,7 @@ Runtime::tryImportSelection(const std::string &signature, int variant)
         return support::Status::invalidArgument(
             "DySel: imported selection " + std::to_string(variant)
             + " out of range for '" + signature + "'");
-    if (guard_.enabled()
-        && guard_.isBlacklisted(signature,
-                                entry->variants[variant].name))
+    if (excluded(signature, entry->variants[variant]))
         return support::Status::failedPrecondition(
             "DySel: variant '" + entry->variants[variant].name
             + "' is blacklisted for '" + signature + "'");
@@ -187,6 +183,25 @@ Runtime::finish(LaunchReport report)
     if (observer)
         observer(report);
     return report;
+}
+
+bool
+Runtime::excluded(const std::string &signature,
+                  const kdp::KernelVariant &variant) const
+{
+    return guard_.enabled() && guard_.isBlacklisted(signature, variant.name);
+}
+
+int
+Runtime::usableVariant(const std::string &signature,
+                       const KernelEntry &entry, int want) const
+{
+    if (!excluded(signature, entry.variants[want]))
+        return want;
+    for (std::size_t i = 0; i < entry.variants.size(); ++i)
+        if (!excluded(signature, entry.variants[i]))
+            return static_cast<int>(i);
+    return -1;
 }
 
 ProfilingMode
@@ -302,21 +317,11 @@ Runtime::launchFused(const std::string &signature, int variant,
         return support::Status::invalidArgument(
             "DySelLaunchFused(" + signature + "): variant "
             + std::to_string(want) + " out of range");
-    if (guard_.enabled()
-        && guard_.isBlacklisted(signature, entry.variants[want].name)) {
-        int fallback = -1;
-        for (std::size_t i = 0; i < entry.variants.size(); ++i) {
-            if (!guard_.isBlacklisted(signature, entry.variants[i].name)) {
-                fallback = static_cast<int>(i);
-                break;
-            }
-        }
-        if (fallback < 0)
-            return support::Status::failedPrecondition(
-                "DySelLaunchFused(" + signature
-                + "): every variant is blacklisted");
-        want = fallback;
-    }
+    want = usableVariant(signature, entry, want);
+    if (want < 0)
+        return support::Status::failedPrecondition(
+            "DySelLaunchFused(" + signature
+            + "): every variant is blacklisted");
     const kdp::KernelVariant &real = entry.variants[want];
 
     // Member m occupies fused groups [fusedStarts[m], fusedStarts[m+1]).
@@ -468,31 +473,13 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             + std::to_string(opt.initialVariant) + " out of range");
     const int default_variant =
         opt.initialVariant >= 0 ? opt.initialVariant : 0;
-
-    // ---- Guard: exclude blacklisted variants up front ----------------
-    // `act` maps active-local index j -> original variant index; every
-    // profiling-side vector below is indexed by j.
-    std::vector<std::size_t> act;
-    act.reserve(num_variants);
-    for (std::size_t i = 0; i < num_variants; ++i) {
-        if (guard_.enabled()
-            && guard_.isBlacklisted(signature, entry.variants[i].name))
-            continue;
-        act.push_back(i);
-    }
-    if (act.empty())
+    // A requested variant the guard has blacklisted falls back to the
+    // first one it has not.
+    const int fallback = usableVariant(signature, entry, default_variant);
+    if (fallback < 0)
         return support::Status::failedPrecondition(
             "DySelLaunchKernel(" + signature
             + "): every variant is blacklisted");
-    const std::uint64_t excluded = num_variants - act.size();
-    // A requested variant that is blacklisted falls back to the first
-    // healthy one.
-    auto healthy = [&](int v) {
-        if (std::find(act.begin(), act.end(),
-                      static_cast<std::size_t>(v)) != act.end())
-            return v;
-        return static_cast<int>(act.front());
-    };
 
     // Profiling deactivated: reuse the cached selection (iterative
     // kernels profile only their first launch) or fall back to the
@@ -509,10 +496,19 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         const int want = opt.shadow && opt.initialVariant >= 0
                              ? opt.initialVariant
                              : cached.value_or(default_variant);
-        const int use = healthy(want);
+        const int use = usableVariant(signature, entry, want);
         return runPlain(signature, entry, use, total_units, args, opt,
                         cached.has_value() && use == want, out);
     }
+
+    // ---- Guard: exclude blacklisted variants up front ----------------
+    // `act` maps active-local index j -> registration index; the
+    // profiling passes below are indexed by j.
+    std::vector<std::size_t> act;
+    act.reserve(num_variants);
+    for (std::size_t i = 0; i < num_variants; ++i)
+        if (!excluded(signature, entry.variants[i]))
+            act.push_back(i);
 
     if (act.size() == 1)
         return runPlain(signature, entry, static_cast<int>(act.front()),
@@ -557,8 +553,8 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     if (total_units < config.minUnitsForProfiling
         || plan.unitsPerVariant == 0) {
         // Small workload: profiling-based selection is deactivated.
-        return runPlain(signature, entry, healthy(default_variant),
-                        total_units, args, opt, false, out);
+        return runPlain(signature, entry, fallback, total_units, args,
+                        opt, false, out);
     }
 
     const std::uint64_t slice = plan.unitsPerVariant;
@@ -574,7 +570,7 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     report.profiledUnits = slice * num_active * repeats;
     report.productiveUnits =
         mode == ProfilingMode::Fully ? slice * num_active : slice;
-    report.guardExcluded = excluded;
+    report.guardExcluded = num_variants - act.size();
     report.startTime = dev.now();
 
     // ---- Sandbox / private output spaces -----------------------------
@@ -621,16 +617,27 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     }
 
     // ---- Shared profiling state --------------------------------------
-    struct PState
+    /// One micro-profiling pass: an active variant's slice, executed
+    /// `repeats` times.
+    struct Pass
     {
-        std::vector<sim::TimeNs> metric;
+        std::size_t variant = 0; ///< registration index
+        sim::TimeNs metric = std::numeric_limits<sim::TimeNs>::max();
         /// Aggregation across repeats: the first repeat doubles as a
         /// cache warmup, later repeats are averaged -- which is what
         /// makes extra executions recover selection accuracy under
         /// measurement noise (§5.2).
-        std::vector<double> metricSum;
-        std::vector<unsigned> metricCount;
-        std::vector<VariantProfile> profiles;
+        double metricSum = 0.0;
+        unsigned metricCount = 0;
+        unsigned completions = 0;
+        /// The pass's report entry; its outcome is the guard verdict.
+        VariantProfile profile;
+
+        bool struck() const { return profile.outcome != "pass"; }
+    };
+    struct PState
+    {
+        std::vector<Pass> passes;
         unsigned outstanding = 0;
         int bestSoFar = 0;
         sim::TimeNs bestMetric = std::numeric_limits<sim::TimeNs>::max();
@@ -639,43 +646,30 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         std::uint64_t nextUnit = 0;
         bool batchSubmitted = false;
         std::uint64_t eagerChunks = 0;
-        // Guard bookkeeping (all indexed by active-local j).
-        std::vector<unsigned> completions;
-        std::vector<bool> failed;
-        std::vector<GuardEvent> guardEvents;
         std::uint64_t repairs = 0;
         bool allFailed = false;
-        // Telemetry (indexed by active-local j).
-        std::vector<std::string> outcome;
         sim::TimeNs remainderStart = 0;
     };
     auto st = std::make_shared<PState>();
-    st->metric.assign(num_active,
-                      std::numeric_limits<sim::TimeNs>::max());
-    st->metricSum.assign(num_active, 0.0);
-    st->metricCount.assign(num_active, 0);
-    st->profiles.resize(num_active);
-    for (std::size_t j = 0; j < num_active; ++j)
-        st->profiles[j].name = entry.variants[act[j]].name;
+    st->passes.resize(num_active);
+    for (std::size_t j = 0; j < num_active; ++j) {
+        st->passes[j].variant = act[j];
+        st->passes[j].profile.name = entry.variants[act[j]].name;
+        // Eager execution starts with the default variant (or the
+        // first healthy one if the default is blacklisted).
+        if (static_cast<int>(act[j]) == fallback)
+            st->bestSoFar = static_cast<int>(j);
+    }
     st->outstanding = static_cast<unsigned>(num_active) * repeats;
-    st->completions.assign(num_active, 0);
-    st->failed.assign(num_active, false);
-    st->outcome.assign(num_active, "pass");
     st->nextUnit = profiled_span_units;
 
-    // bestSoFar is active-local; start at the default variant (or the
-    // first healthy one if the default is blacklisted).
-    st->bestSoFar = 0;
-    for (std::size_t j = 0; j < num_active; ++j)
-        if (static_cast<int>(act[j]) == healthy(default_variant))
-            st->bestSoFar = static_cast<int>(j);
-
-    // The Fig. 7 in-kernel timer (GPU path).
-    std::shared_ptr<GpuTimer> timer;
-    if (dev.kind() == sim::DeviceKind::Gpu) {
-        timer = std::make_shared<GpuTimer>(
-            static_cast<unsigned>(num_active), plan.groups);
-    }
+    // A guard strike: the pass's outcome names the tripped check.
+    auto strike = [this, st, &signature](std::size_t j,
+                                         guard::CheckKind ck) {
+        VariantProfile &prof = st->passes[j].profile;
+        prof.outcome = guard::checkKindName(ck);
+        guard_.strike(signature, prof.name, ck);
+    };
 
     const bool gpu = dev.kind() == sim::DeviceKind::Gpu;
 
@@ -704,47 +698,45 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             // GPU profiling kernels measure in effective isolation
             // (concurrent kernels overlap only at tails on Kepler).
             launch.exclusive = gpu;
-            if (timer && r == 0) {
-                launch.onGroupStamp = [timer, j](sim::TimeNs s,
-                                                 sim::TimeNs e) {
-                    timer->blockDone(static_cast<unsigned>(j), s, e);
-                };
-            }
             launch.onComplete = [this, st, finish_profiling, j, gpu, slice,
                                  r, repeats,
                                  passTrack](const sim::LaunchStats &stats) {
+                // The GPU metric is the Fig. 7 in-kernel span: earliest
+                // group start stamp to latest group end stamp.
                 const sim::TimeNs m =
                     gpu ? stats.span() : stats.busyTime;
-                st->completions[j]++;
+                Pass &pass = st->passes[j];
+                VariantProfile &prof = pass.profile;
                 if (repeats == 1 || r > 0) {
                     // With repeats, the first execution is a cache
                     // warmup; steady-state repeats are averaged.
-                    st->metricSum[j] += static_cast<double>(m);
-                    st->metricCount[j]++;
-                    st->metric[j] = static_cast<sim::TimeNs>(
-                        st->metricSum[j] / st->metricCount[j]);
+                    pass.metricSum += static_cast<double>(m);
+                    pass.metricCount++;
+                    pass.metric = static_cast<sim::TimeNs>(
+                        pass.metricSum / pass.metricCount);
                 }
-                VariantProfile &prof = st->profiles[j];
                 if (r == 0) {
                     prof.span = stats.span();
                     prof.busy = stats.busyTime;
-                    prof.units = slice;
                     prof.startTime = stats.firstStamp;
                     prof.endTime = stats.lastStamp;
                 }
+                if (++pass.completions == repeats) {
+                    prof.units = slice;
+                    prof.metric = pass.metric;
+                }
                 if (tracing()) {
                     tracer_->complete(
-                        passTrack, "profile:" + st->profiles[j].name,
+                        passTrack, "profile:" + prof.name,
                         stats.firstStamp, stats.lastStamp,
                         activeCorrelation,
-                        {{"variant", st->profiles[j].name},
+                        {{"variant", prof.name},
                          {"repeat", std::to_string(r)},
                          {"units", std::to_string(slice)},
                          {"metric", std::to_string(m)}});
                 }
-                prof.metric = st->metric[j];
-                if (st->metric[j] < st->bestMetric) {
-                    st->bestMetric = st->metric[j];
+                if (pass.metric < st->bestMetric) {
+                    st->bestMetric = pass.metric;
                     st->bestSoFar = static_cast<int>(j);
                 }
                 if (--st->outstanding == 0)
@@ -755,88 +747,75 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     }
 
     // ---- Post-profiling: validate, select, swap, launch the rest -----
-    *finish_profiling = [this, st, &entry, &args, &swap_map, &act, mode,
-                         orch, total_units, signature, slice] {
+    *finish_profiling = [this, st, strike, &entry, &args, &swap_map, mode,
+                         total_units, signature, slice] {
         st->profilingDone = true;
-        const std::size_t n = act.size();
+        std::vector<Pass> &passes = st->passes;
+        const std::size_t n = passes.size();
 
-        if (guard_.enabled()) {
-            auto strike = [&](std::size_t j, guard::CheckKind ck) {
-                st->failed[j] = true;
-                st->outcome[j] = guard::checkKindName(ck);
-                guard_.strike(signature, entry.variants[act[j]].name,
-                              ck);
-                st->guardEvents.push_back(
-                    {entry.variants[act[j]].name,
-                     guard::checkKindName(ck)});
-            };
-            if (mode != ProfilingMode::Fully) {
-                // Self checks on each variant's private clones (in
-                // hybrid mode variant 0 has none; only the watchdog
-                // covers it).  At most one strike per variant per
-                // pass, in check order: redzone, NaN, mismatch.
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (st->failed[j])
-                        continue;
-                    bool bad_rz = false;
-                    bool bad_nan = false;
-                    for (const auto &[idx, clone] : swap_map[j]) {
-                        (void)idx;
-                        if (!guard::VariantGuard::redzoneIntact(*clone))
-                            bad_rz = true;
-                        else if (guard::VariantGuard::hasNanOrInf(
-                                     *clone))
-                            bad_nan = true;
-                    }
-                    if (bad_rz)
-                        strike(j, guard::CheckKind::Redzone);
-                    else if (bad_nan)
-                        strike(j, guard::CheckKind::NanInf);
+        if (guard_.enabled() && mode != ProfilingMode::Fully) {
+            // Self checks on each variant's private clones (in hybrid
+            // mode variant 0 has none; only the watchdog covers it).
+            // At most one strike per variant per pass, in check order:
+            // redzone, NaN, mismatch.
+            for (std::size_t j = 0; j < n; ++j) {
+                if (passes[j].struck())
+                    continue;
+                bool bad_rz = false;
+                bool bad_nan = false;
+                for (const auto &[idx, clone] : swap_map[j]) {
+                    (void)idx;
+                    if (!guard::VariantGuard::redzoneIntact(*clone))
+                        bad_rz = true;
+                    else if (guard::VariantGuard::hasNanOrInf(*clone))
+                        bad_nan = true;
                 }
-                // Cross-check everyone against the reference: the
-                // first variant that passed its self checks.  (A
-                // corrupt reference with plausible values defeats
-                // this -- a documented reference-trust limitation.)
-                std::size_t ref = n;
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (!st->failed[j]) {
-                        ref = j;
+                if (bad_rz)
+                    strike(j, guard::CheckKind::Redzone);
+                else if (bad_nan)
+                    strike(j, guard::CheckKind::NanInf);
+            }
+            // Cross-check everyone against the reference: the first
+            // variant that passed its self checks.  (A corrupt
+            // reference with plausible values defeats this -- a
+            // documented reference-trust limitation.)
+            std::size_t ref = n;
+            for (std::size_t j = 0; j < n; ++j) {
+                if (!passes[j].struck()) {
+                    ref = j;
+                    break;
+                }
+            }
+            for (std::size_t j = 0; ref < n && j < n; ++j) {
+                if (j == ref || passes[j].struck())
+                    continue;
+                bool match = true;
+                for (const auto &[idx, clone] : swap_map[j]) {
+                    // The reference output for this arg: its own
+                    // clone, or the real buffer (hybrid ref 0).
+                    const kdp::BufferBase *refbuf = &args.bufBase(idx);
+                    for (const auto &[ridx, rclone] : swap_map[ref])
+                        if (ridx == idx)
+                            refbuf = rclone;
+                    if (!guard_.outputsMatch(*refbuf, *clone)) {
+                        match = false;
                         break;
                     }
                 }
-                for (std::size_t j = 0; ref < n && j < n; ++j) {
-                    if (j == ref || st->failed[j])
-                        continue;
-                    bool match = true;
-                    for (const auto &[idx, clone] : swap_map[j]) {
-                        // The reference output for this arg: its own
-                        // clone, or the real buffer (hybrid ref 0).
-                        const kdp::BufferBase *refbuf =
-                            &args.bufBase(idx);
-                        for (const auto &[ridx, rclone] : swap_map[ref])
-                            if (ridx == idx)
-                                refbuf = rclone;
-                        if (!guard_.outputsMatch(*refbuf, *clone)) {
-                            match = false;
-                            break;
-                        }
-                    }
-                    if (!match)
-                        strike(j, guard::CheckKind::Mismatch);
-                }
-                for (std::size_t j = 0; j < n; ++j)
-                    if (!st->failed[j])
-                        guard_.pass(signature,
-                                    entry.variants[act[j]].name);
+                if (!match)
+                    strike(j, guard::CheckKind::Mismatch);
             }
+            for (const Pass &pass : passes)
+                if (!pass.struck())
+                    guard_.pass(signature, pass.profile.name);
         }
 
         // Select the fastest variant that survived validation.
         std::size_t best = n;
         for (std::size_t j = 0; j < n; ++j) {
-            if (st->failed[j])
+            if (passes[j].struck())
                 continue;
-            if (best == n || st->metric[j] < st->metric[best])
+            if (best == n || passes[j].metric < passes[best].metric)
                 best = j;
         }
         if (best == n) {
@@ -846,7 +825,7 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             st->selected = -1;
             return;
         }
-        st->selected = static_cast<int>(act[best]);
+        st->selected = static_cast<int>(passes[best].variant);
         selectionCache[signature] = st->selected;
 
         if (mode == ProfilingMode::Swap) {
@@ -872,12 +851,12 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             // own slice unwritten or corrupt.
             const kdp::KernelVariant &winner =
                 entry.variants[st->selected];
-            if (mode == ProfilingMode::Hybrid && st->failed[0]) {
+            if (mode == ProfilingMode::Hybrid && passes[0].struck()) {
                 st->repairs++;
                 submitBatch(winner, args, 0, slice, 1, 0, nullptr);
             } else if (mode == ProfilingMode::Fully) {
                 for (std::size_t j = 0; j < n; ++j) {
-                    if (!st->failed[j])
+                    if (!passes[j].struck())
                         continue;
                     st->repairs++;
                     submitBatch(winner, args, j * slice, slice, 1, 0,
@@ -915,8 +894,7 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         // outlives dev.run() below, and a strong self-capture would
         // cycle and leak the profiling state.
         std::weak_ptr<std::function<void()>> pump_weak = pump;
-        *pump = [this, st, &entry, &args, &act, total_units, chunk,
-                 pump_weak] {
+        *pump = [this, st, &entry, &args, total_units, chunk, pump_weak] {
             if (st->profilingDone || st->batchSubmitted)
                 return; // the remainder goes out as one batch
             if (st->nextUnit >= total_units)
@@ -924,7 +902,7 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
             const std::uint64_t units =
                 std::min<std::uint64_t>(chunk, total_units - st->nextUnit);
             const kdp::KernelVariant &variant =
-                entry.variants[act[st->bestSoFar]];
+                entry.variants[st->passes[st->bestSoFar].variant];
             st->eagerChunks++;
             const std::uint64_t first = st->nextUnit;
             st->nextUnit += units;
@@ -956,17 +934,10 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
         // survivors, then drain the repair / remainder work.
         bool any_hung = false;
         for (std::size_t j = 0; j < num_active; ++j) {
-            if (st->completions[j] >= repeats)
+            if (st->passes[j].completions >= repeats)
                 continue;
             any_hung = true;
-            st->failed[j] = true;
-            st->outcome[j] =
-                guard::checkKindName(guard::CheckKind::Watchdog);
-            guard_.strike(signature, entry.variants[act[j]].name,
-                          guard::CheckKind::Watchdog);
-            st->guardEvents.push_back(
-                {entry.variants[act[j]].name,
-                 guard::checkKindName(guard::CheckKind::Watchdog)});
+            strike(j, guard::CheckKind::Watchdog);
         }
         if (!any_hung)
             support::panic("profiling did not complete for '%s'",
@@ -985,31 +956,23 @@ Runtime::launch(const std::string &signature, std::uint64_t total_units,
     report.selected = st->selected;
     report.selectedName = entry.variants[st->selected].name;
     report.eagerChunks = st->eagerChunks;
-    report.profiles = st->profiles;
-    report.guardEvents = st->guardEvents;
     report.guardRepairs = st->repairs;
     report.endTime = dev.now();
 
-    // Structured selection timeline: one pass record per registered
-    // variant, registration order, skipped variants included.
-    const sim::TimeNs unmeasured =
-        std::numeric_limits<sim::TimeNs>::max();
+    // One profile per registered variant, registration order: the
+    // passes, with the variants the guard excluded in between.
+    report.profiles.reserve(num_variants);
+    std::size_t j = 0;
     for (std::size_t i = 0; i < num_variants; ++i) {
-        SelectionPass pass;
-        pass.variant = entry.variants[i].name;
-        const auto jt = std::find(act.begin(), act.end(), i);
-        if (jt == act.end()) {
-            pass.guardOutcome = "blacklisted";
+        if (j < num_active && st->passes[j].variant == i) {
+            VariantProfile &prof = st->passes[j++].profile;
+            prof.selected = static_cast<int>(i) == st->selected;
+            report.profiles.push_back(std::move(prof));
         } else {
-            const auto j = static_cast<std::size_t>(jt - act.begin());
-            pass.units = slice;
-            pass.startTime = st->profiles[j].startTime;
-            pass.endTime = st->profiles[j].endTime;
-            pass.metric = st->metric[j] == unmeasured ? 0 : st->metric[j];
-            pass.guardOutcome = st->outcome[j];
-            pass.selected = static_cast<int>(i) == st->selected;
+            VariantProfile &prof = report.profiles.emplace_back();
+            prof.name = entry.variants[i].name;
+            prof.outcome = "blacklisted";
         }
-        report.timeline.push_back(std::move(pass));
     }
 
     if (tracing()) {

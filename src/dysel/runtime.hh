@@ -272,6 +272,18 @@ class Runtime
     /** Notify the launch observer (if any) and forward the report. */
     LaunchReport finish(LaunchReport report);
 
+    /** Whether the guard keeps @p variant of @p signature out. */
+    bool excluded(const std::string &signature,
+                  const kdp::KernelVariant &variant) const;
+
+    /**
+     * @p want, or the first registered variant the guard has not
+     * blacklisted when it has blacklisted @p want; -1 when it has
+     * blacklisted every variant.
+     */
+    int usableVariant(const std::string &signature,
+                      const KernelEntry &entry, int want) const;
+
     /** Resolve the effective profiling mode for this launch. */
     ProfilingMode resolveMode(const KernelEntry &entry,
                               const LaunchOptions &opt) const;

@@ -244,16 +244,21 @@ SelectionStore::recordProfile(const std::string &device,
         rec.bucket = bucket;
         rec.selected = report.selected;
         rec.selectedName = report.selectedName;
+        // One entry per registered variant, so profiles[i] is variant
+        // i.  Only a pass the guard accepted is a measurement: a
+        // struck, hung, or blacklisted variant keeps just its name, so
+        // no fallback ever serves it.
         rec.profiles.clear();
         rec.profiles.reserve(report.profiles.size());
         for (const auto &p : report.profiles) {
-            StoredProfile sp;
+            StoredProfile &sp = rec.profiles.emplace_back();
             sp.name = p.name;
+            if (p.outcome != "pass")
+                continue;
             sp.metricNs = static_cast<double>(p.metric);
             sp.spanNs = static_cast<double>(p.span);
             sp.busyNs = static_cast<double>(p.busy);
             sp.units = p.units;
-            rec.profiles.push_back(std::move(sp));
         }
         rec.launches++;
         rec.profiledLaunches++;
@@ -332,9 +337,8 @@ SelectionStore::demoteLocked(SelectionRecord &rec)
     // Best profiled runner-up (lowest metric, not the offender).
     int runnerUp = -1;
     for (std::size_t i = 0; i < rec.profiles.size(); ++i) {
-        if (static_cast<int>(i) == rec.selected)
-            continue;
-        if (rec.profiles[i].metricNs <= 0.0)
+        if (static_cast<int>(i) == rec.selected
+            || !rec.profiles[i].measured())
             continue;
         if (runnerUp < 0
             || rec.profiles[i].metricNs

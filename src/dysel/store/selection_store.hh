@@ -113,6 +113,12 @@ struct StoredProfile
     double spanNs = 0;
     double busyNs = 0;
     std::uint64_t units = 0; ///< units the variant profiled
+
+    /**
+     * Whether the entry holds a measurement: the variant's pass
+     * completed and the guard accepted its output.
+     */
+    bool measured() const { return units > 0; }
 };
 
 /** One (signature, device, bucket) selection record. */
@@ -124,6 +130,7 @@ struct SelectionRecord
 
     int selected = -1; ///< registration index of the winner
     std::string selectedName;
+    /** One entry per registered variant, in registration order. */
     std::vector<StoredProfile> profiles;
 
     std::uint64_t launches = 0;         ///< launches this record served

@@ -38,8 +38,6 @@ clearJobResult(JobResult &r)
     rep.extraBytes = 0;
     rep.eagerChunks = 0;
     rep.profiles.clear();
-    rep.timeline.clear();
-    rep.guardEvents.clear();
     rep.guardExcluded = 0;
     rep.guardRepairs = 0;
 }
@@ -169,6 +167,7 @@ BufferPool::releaseShell(detail::QueuedJob &&shell)
     shell.backoffNs = 0;
     shell.spentNs = 0;
     shell.enqueuedNs = 0;
+    shell.storeCounted = false;
 
     std::lock_guard<std::mutex> lock(mu);
     shells.push_back(std::move(shell));

@@ -1000,14 +1000,12 @@ DispatchService::runBatch(unsigned idx,
     emit(&w, event("batch.launches"), headId);
     emit(&w, event("batch.jobs"), headId, n);
     observe(w, event("batch.size"), static_cast<double>(n));
-    if (warm) {
+    if (warm)
         store_.noteServed(sig, w.fingerprint, head.job.units, n);
-        (void)importWarm(w, sig, *rec, headId, n);
-    } else {
-        // Sub-threshold jobs never produce a record; they still count
-        // as misses so hit-rate accounting matches the solo path.
-        emit(&w, event("store.miss"), headId, n);
-    }
+    // Sub-threshold jobs never produce a record; they still count as
+    // misses so hit-rate accounting matches the solo path.
+    const bool hit = warm && importWarm(w, sig, *rec).ok();
+    countStoreRead(w, members, hit ? &*rec : nullptr);
     breakerObserve(idx, false);
     if (config.affinity && warm) {
         std::lock_guard<std::mutex> lock(routeMu);
@@ -1200,17 +1198,16 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj, Resolution r)
     opt.correlationId = job.id;
     if (r.rec) {
         // Warm start: run the stored winner, skip profiling.
-        if (auto st = importWarm(w, job.signature, *r.rec, job.id, 1);
-            !st.ok()) {
+        if (auto st = importWarm(w, job.signature, *r.rec); !st.ok()) {
             res.status = std::move(st);
             return res;
         }
         opt.profiling = false;
         res.warmStart = true;
-    } else {
-        // A miss profiles unless the caller turned profiling off.
-        emit(&w, event("store.miss"), job.id);
     }
+    // A miss profiles unless the caller turned profiling off.  Either
+    // way the job's store read counts once, on its first attempt.
+    countStoreRead(w, {&qj, 1}, r.rec ? &*r.rec : nullptr);
 
     emit(&w, event("launch"), job.id, 1,
          {{"sig", job.signature}, {"units", std::to_string(job.units)}});
@@ -1225,10 +1222,15 @@ DispatchService::runJob(unsigned idx, detail::QueuedJob &qj, Resolution r)
         // a shadow probe of winner vs runner-up, here -- while the
         // job's buffers are still alive -- and before completion, so
         // the probe time is never charged to the job's latency.
-        // Predicted records carry no profiles, so they are excluded
-        // naturally (no runner-up to probe).
+        // Only a record with a measured runner-up qualifies; predicted
+        // records carry no profiles, so they are excluded naturally.
+        const auto measured = [](const store::StoredProfile &p) {
+            return p.measured();
+        };
         if (auditor_ && res.warmStart && !res.report.profiled
-            && r.rec->profiles.size() >= 2 && auditor_->shouldSample())
+            && std::count_if(r.rec->profiles.begin(),
+                             r.rec->profiles.end(), measured) >= 2
+            && auditor_->shouldSample())
             auditWarmHit(idx, qj, *r.rec);
     } else if (res.warmStart
                && retryableCode(res.status.code())) {
@@ -1377,17 +1379,30 @@ DispatchService::resolve(Worker &w, const Job &job, Resolution &r)
 
 support::Status
 DispatchService::importWarm(Worker &w, const std::string &sig,
-                            const store::SelectionRecord &rec,
-                            std::uint64_t jobId, std::uint64_t jobs)
+                            const store::SelectionRecord &rec)
 {
-    const int variant =
-        variantIndex(*w.rt, sig, rec.selectedName, rec.selected);
-    if (auto st = w.rt->tryImportSelection(sig, variant); !st.ok())
-        return st;
-    emit(&w, event("store.hit"), jobId, jobs,
-         {{"variant", rec.selectedName}});
-    emit(&w, event("device.store_hits"), jobId, jobs);
-    return support::Status();
+    return w.rt->tryImportSelection(
+        sig, variantIndex(*w.rt, sig, rec.selectedName, rec.selected));
+}
+
+void
+DispatchService::countStoreRead(Worker &w,
+                                std::span<detail::QueuedJob> jobs,
+                                const store::SelectionRecord *hit)
+{
+    std::uint64_t fresh = 0;
+    for (detail::QueuedJob &qj : jobs)
+        fresh += !std::exchange(qj.storeCounted, true);
+    if (fresh == 0)
+        return;
+    const std::uint64_t id = jobs.front().job.id;
+    if (hit) {
+        emit(&w, event("store.hit"), id, fresh,
+             {{"variant", hit->selectedName}});
+        emit(&w, event("device.store_hits"), id, fresh);
+    } else {
+        emit(&w, event("store.miss"), id, fresh);
+    }
 }
 
 bool
@@ -1429,7 +1444,7 @@ DispatchService::auditWarmHit(unsigned idx, const detail::QueuedJob &qj,
     std::string runnerUp;
     double bestUnitNs = 0;
     for (const auto &p : rec.profiles) {
-        if (p.name == winner || p.units == 0)
+        if (p.name == winner || !p.measured())
             continue;
         if (blacklisted(w, job.signature, p.name))
             continue;

@@ -547,14 +547,18 @@ class DispatchService
      */
     void resolve(Worker &w, const Job &job, Resolution &r);
 
-    /**
-     * The warm-import step: @p rec's winner becomes @p w's cached
-     * selection of @p sig, and the @p jobs jobs led by @p jobId count
-     * as store hits.  Fails, counting nothing, if the runtime refuses.
-     */
+    /** The warm-import step: @p rec's winner becomes @p w's cached
+     * selection of @p sig.  Fails if the runtime refuses. */
     support::Status importWarm(Worker &w, const std::string &sig,
-                               const store::SelectionRecord &rec,
-                               std::uint64_t jobId, std::uint64_t jobs);
+                               const store::SelectionRecord &rec);
+
+    /**
+     * Count store.hit (from @p hit) or store.miss for each of @p jobs
+     * not counted yet, under the first job's id: one count per job,
+     * however many attempts or batch demotions it goes through.
+     */
+    void countStoreRead(Worker &w, std::span<detail::QueuedJob> jobs,
+                        const store::SelectionRecord *hit);
 
     /**
      * Gather a batch behind @p head (bounded-delay top-up included)

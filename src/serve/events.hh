@@ -77,9 +77,11 @@ inline constexpr EventRow eventTable[] = {
 
     // ---- selection store
     {"store.hit", MetricKind::Counter, false, "store.hit", "lookup",
-     "Jobs served warm from a stored selection."},
+     "Jobs served warm from a stored selection (counted once per job, "
+     "at its first store read)."},
     {"store.miss", MetricKind::Counter, false, nullptr, "lookup",
-     "Jobs that ran without a usable stored selection."},
+     "Jobs that ran without a usable stored selection (counted once "
+     "per job, at its first store read)."},
     {"store.record", MetricKind::Counter, false, nullptr, nullptr,
      "Profiled launches recorded into the store."},
     {"store.quarantine", MetricKind::Counter, false, "store.quarantine",
@@ -152,7 +154,8 @@ inline constexpr EventRow eventTable[] = {
      "Variants blacklisted by the guard."},
     {"guard.blocked_warmstart", MetricKind::Counter, false,
      "store.blocked_warmstart", nullptr,
-     "Jobs whose store read found a since-blacklisted winner."},
+     "Store reads (one per attempt) that found a since-blacklisted "
+     "winner."},
 
     // ---- kernel pools
     {"pool.install_failed", MetricKind::Counter, false, nullptr, nullptr,

@@ -236,6 +236,8 @@ struct QueuedJob
     sim::TimeNs spentNs = 0; ///< device time across attempts
     /** Destination device's clock when (re-)enqueued (queue span). */
     sim::TimeNs enqueuedNs = 0;
+    /** store.hit or store.miss counted this job (once per job). */
+    bool storeCounted = false;
 };
 
 } // namespace detail

@@ -442,6 +442,7 @@ runImpl(const LoadGenConfig &cfg,
     rep.coalesceFollowers = m.counterValue("coalesce.follower");
     rep.coalesceHits = m.counterValue("coalesce.hit");
     rep.storeHits = m.counterValue("store.hit");
+    rep.storeMisses = m.counterValue("store.miss");
     rep.storeHitRate =
         rep.jobsSubmitted > 0
             ? static_cast<double>(rep.storeHits)

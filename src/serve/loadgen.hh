@@ -206,8 +206,10 @@ struct LoadGenReport
      *  by another job's profiling pass. */
     double coalesceHitRate = 0.0;
 
-    /** Store warm starts observed. */
+    /** Jobs served warm from the store, and jobs that missed it
+     *  (store.hit / store.miss: one or the other per admitted job). */
     std::uint64_t storeHits = 0;
+    std::uint64_t storeMisses = 0;
     /** storeHits / jobsSubmitted: share of jobs served warm. */
     double storeHitRate = 0.0;
 

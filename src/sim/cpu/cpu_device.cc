@@ -86,7 +86,7 @@ CpuDevice::fire(EventKind kind, std::uint32_t unit)
     // a full kick() (not just this core) is required.
     Core &core = cores[unit];
     core.busy = false;
-    queue[core.launch].groupDone(core.start, core.dur, now());
+    queue[core.launch].groupDone(core.dur, now());
     kick();
 }
 
@@ -108,8 +108,7 @@ CpuDevice::startNext(unsigned idx)
         return;
     }
     ActiveLaunch &al = queue[slot];
-    const TimeNs start = now();
-    const std::uint64_t grid = al.issue(start);
+    const std::uint64_t grid = al.issue(now());
     core.busy = true;
 
     TimeNs dur = runGroup(core, al, grid) + config.taskOverheadNs;
@@ -118,7 +117,6 @@ CpuDevice::startNext(unsigned idx)
     dur = addNoise(dur);
 
     core.launch = slot;
-    core.start = start;
     core.dur = dur;
     events.postAfter(dur, EventKind::GroupDone, idx);
 }

@@ -89,7 +89,6 @@ class CpuDevice : public Device, private EventSink
         /** @name The in-flight task, valid while busy. */
         /// @{
         std::uint32_t launch = DispatchQueue::none;
-        TimeNs start = 0;
         TimeNs dur = 0;
         /// @}
 

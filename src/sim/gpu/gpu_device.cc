@@ -129,7 +129,7 @@ GpuDevice::fire(EventKind kind, std::uint32_t unit)
     host_sm.regsUsed -= blk.fp.regs;
     --residentBlocks;
 
-    queue[blk.launch].groupDone(blk.start, blk.dur, now());
+    queue[blk.launch].groupDone(blk.dur, now());
     kick();
 }
 
@@ -187,8 +187,7 @@ GpuDevice::place(unsigned idx, std::uint32_t slot)
     sm.regsUsed += fp.regs;
     ++residentBlocks;
 
-    const TimeNs start = now();
-    const std::uint64_t grid = al.issue(start);
+    const std::uint64_t grid = al.issue(now());
 
     traceBuf.reset(variant.groupSize);
     kdp::GroupCtx ctx(grid, variant.groupSize, variant.waFactor, &traceBuf);
@@ -229,7 +228,7 @@ GpuDevice::place(unsigned idx, std::uint32_t slot)
         b = freeBlocks.back();
         freeBlocks.pop_back();
     }
-    blocks[b] = Block{slot, idx, start, dur, fp};
+    blocks[b] = Block{slot, idx, dur, fp};
     events.postAfter(dur, EventKind::GroupDone, b);
 }
 

@@ -113,7 +113,6 @@ class GpuDevice : public Device, private EventSink
     {
         std::uint32_t launch = DispatchQueue::none;
         unsigned sm = 0;
-        TimeNs start = 0;
         TimeNs dur = 0;
         Footprint fp{};
     };

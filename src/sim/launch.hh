@@ -90,13 +90,6 @@ struct Launch
 
     /** Invoked (at virtual completion time) when the slice finishes. */
     std::function<void(const LaunchStats &)> onComplete;
-
-    /**
-     * Invoked as each work-group completes with its (start, end)
-     * stamps; this is the simulated equivalent of the paper's
-     * in-kernel clock reads (Fig. 7) and feeds dysel::GpuTimer.
-     */
-    std::function<void(TimeNs, TimeNs)> onGroupStamp;
 };
 
 } // namespace sim

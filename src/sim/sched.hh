@@ -54,18 +54,16 @@ struct ActiveLaunch
     }
 
     /**
-     * Account a work-group that ran over [@p start, @p end], busy for
-     * @p dur, then fire the launch's per-group and completion hooks.
+     * Account a work-group that ended at @p end, busy for @p dur, then
+     * fire the launch's completion hook once the last group is done.
      */
     void
-    groupDone(TimeNs start, TimeNs dur, TimeNs end)
+    groupDone(TimeNs dur, TimeNs end)
     {
         done++;
         stats.groups++;
         stats.busyTime += dur;
         stats.lastStamp = std::max(stats.lastStamp, end);
-        if (launch.onGroupStamp)
-            launch.onGroupStamp(start, end);
         if (finished() && launch.onComplete)
             launch.onComplete(stats);
     }

@@ -177,26 +177,6 @@ TEST(CpuDevice, SameStreamLaunchesSerialize)
     EXPECT_GE(second_first_start, first_end);
 }
 
-TEST(CpuDevice, GroupStampCallbackFiresPerGroup)
-{
-    CpuDevice dev;
-    auto variant = idKernel();
-    kdp::Buffer<std::uint32_t> out(8 * 8, kdp::MemSpace::Global, "out");
-
-    int stamps = 0;
-    Launch launch;
-    launch.variant = &variant;
-    launch.args.add(out);
-    launch.numGroups = 8;
-    launch.onGroupStamp = [&](TimeNs start, TimeNs end) {
-        EXPECT_LT(start, end);
-        ++stamps;
-    };
-    dev.submit(std::move(launch));
-    dev.run();
-    EXPECT_EQ(stamps, 8);
-}
-
 TEST(CpuDevice, NoiseIsDeterministicPerSeed)
 {
     auto run = [](std::uint64_t seed) {

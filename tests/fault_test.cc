@@ -544,6 +544,35 @@ TEST(ServiceFault, WarmStartFailureQuarantinesStoredSelection)
     svc.stop();
 }
 
+TEST(ServiceFault, RetriedWarmJobCountsOneStoreHit)
+{
+    store::SelectionStore store;
+    DispatchService svc(store);
+    FaultInjector faults;
+    svc.addDevice(std::make_unique<sim::CpuDevice>());
+    svc.device(0).setFaultInjector(&faults);
+    svc.start();
+
+    Probe cold("k", 2048);
+    ASSERT_TRUE(submitAndWait(svc, makeJob(cold, 9)).ok());
+
+    // The warm job's first attempt fails and its retry reads the
+    // store again: still one job, so one store.hit.
+    faults.failNext();
+    Probe warm("k", 2048);
+    const JobResult r = submitAndWait(svc, makeJob(warm, 9));
+    ASSERT_TRUE(r.ok()) << r.status.toString();
+    EXPECT_EQ(r.attempts, 2u);
+    EXPECT_TRUE(r.warmStart);
+    const auto &m = svc.metrics();
+    EXPECT_EQ(m.counterValue("store.hit"), 1u);
+    EXPECT_EQ(m.counterValue("store.miss"), 1u);
+    EXPECT_EQ(m.counterValue(support::MetricsRegistry::labeled(
+                  "device.store_hits", "device", "dev0")),
+              1u);
+    svc.stop();
+}
+
 namespace {
 
 /** Shared storm driver; @p serial waits per job, else drains. */

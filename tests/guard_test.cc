@@ -134,6 +134,17 @@ struct GProbe
     }
 };
 
+/** The launch's guard strikes: profiles whose outcome names a check. */
+std::vector<runtime::VariantProfile>
+strikes(const runtime::LaunchReport &report)
+{
+    std::vector<runtime::VariantProfile> out;
+    for (const auto &p : report.profiles)
+        if (p.outcome != "pass" && p.outcome != "blacklisted")
+            out.push_back(p);
+    return out;
+}
+
 /**
  * Pool of three equivalent variants; the bad one profiles fastest, so
  * only a guard strike can keep it from winning the selection.
@@ -336,9 +347,9 @@ runBadVariantCase(VariantFaultKind kind, const std::string &check)
 
     // Without the guard the bad variant would have won on speed.
     EXPECT_EQ(report.selectedName, "v-good");
-    ASSERT_EQ(report.guardEvents.size(), 1u);
-    EXPECT_EQ(report.guardEvents[0].variant, "v-bad");
-    EXPECT_EQ(report.guardEvents[0].check, check);
+    ASSERT_EQ(strikes(report).size(), 1u);
+    EXPECT_EQ(strikes(report)[0].name, "v-bad");
+    EXPECT_EQ(strikes(report)[0].outcome, check);
     EXPECT_EQ(report.guardExcluded, 0u);
     p.expectGroundTruth(7.0f);
 
@@ -358,7 +369,7 @@ runBadVariantCase(VariantFaultKind kind, const std::string &check)
     ASSERT_TRUE(rt.launch("k", p.units, p.args, guardedOpt(), report)
                     .ok());
     EXPECT_EQ(report.guardExcluded, 1u);
-    EXPECT_TRUE(report.guardEvents.empty());
+    EXPECT_TRUE(strikes(report).empty());
     EXPECT_EQ(report.selectedName, "v-good");
     EXPECT_EQ(faults.variantTotal(), 1u);
     p.expectGroundTruth(7.0f);
@@ -406,7 +417,7 @@ TEST(RuntimeGuard, StrikeLimitToleratesFirstOffense)
     runtime::LaunchReport report;
     ASSERT_TRUE(rt.launch("k", p.units, p.args, guardedOpt(), report)
                     .ok());
-    ASSERT_EQ(report.guardEvents.size(), 1u);
+    ASSERT_EQ(strikes(report).size(), 1u);
     EXPECT_FALSE(rt.guard().isBlacklisted("k", "v-bad"));
     EXPECT_EQ(fired, 0u);
     p.expectGroundTruth(7.0f);
@@ -452,8 +463,8 @@ TEST(RuntimeGuard, HybridHangRepairsTheDefaultSlice)
         guardedOpt(runtime::ProfilingMode::Hybrid), report);
     ASSERT_TRUE(st.ok()) << st.toString();
     EXPECT_EQ(report.selectedName, "v-good");
-    ASSERT_EQ(report.guardEvents.size(), 1u);
-    EXPECT_EQ(report.guardEvents[0].check, "watchdog");
+    ASSERT_EQ(strikes(report).size(), 1u);
+    EXPECT_EQ(strikes(report)[0].outcome, "watchdog");
     EXPECT_EQ(report.guardRepairs, 1u);
     p.expectGroundTruth(7.0f);
 }
@@ -481,9 +492,9 @@ TEST(RuntimeGuard, FullyModeWatchdogRepairsTheHungSlice)
         guardedOpt(runtime::ProfilingMode::Fully), report);
     ASSERT_TRUE(st.ok()) << st.toString();
     EXPECT_EQ(report.selectedName, "v-good");
-    ASSERT_EQ(report.guardEvents.size(), 1u);
-    EXPECT_EQ(report.guardEvents[0].variant, "v-hang");
-    EXPECT_EQ(report.guardEvents[0].check, "watchdog");
+    ASSERT_EQ(strikes(report).size(), 1u);
+    EXPECT_EQ(strikes(report)[0].name, "v-hang");
+    EXPECT_EQ(strikes(report)[0].outcome, "watchdog");
     EXPECT_EQ(report.guardRepairs, 1u);
     p.expectGroundTruth(7.0f);
 }
@@ -681,7 +692,7 @@ TEST(ServiceGuard, AcceptanceStormQuarantinesExactlyTheBadVariants)
         if (i < 4) {
             EXPECT_TRUE(r.report.profiled);
             EXPECT_FALSE(r.warmStart);
-            EXPECT_EQ(r.report.guardEvents.size(), 3u);
+            EXPECT_EQ(strikes(r.report).size(), 3u);
             EXPECT_EQ(r.report.selectedName, "v-good");
         } else {
             EXPECT_TRUE(r.warmStart);
@@ -759,7 +770,7 @@ TEST(ServiceGuard, AcceptanceStormQuarantinesExactlyTheBadVariants)
         ASSERT_TRUE(r.ok()) << r.status.toString();
         EXPECT_TRUE(r.report.profiled);
         EXPECT_EQ(r.report.guardExcluded, 3u);
-        EXPECT_TRUE(r.report.guardEvents.empty());
+        EXPECT_TRUE(strikes(r.report).empty());
         EXPECT_EQ(r.report.selectedName, "v-good");
         probes2[i]->expectGroundTruth(marker);
     }
@@ -790,4 +801,96 @@ TEST(ServiceGuard, AcceptanceStormQuarantinesExactlyTheBadVariants)
     EXPECT_EQ(rt2.tryImportSelection("s0", 1).code(), // v-corrupt
               support::StatusCode::FailedPrecondition);
     EXPECT_TRUE(rt2.tryImportSelection("s0", 4).ok()); // v-good
+}
+
+// ---- Stored profiles and quarantine fallbacks --------------------------
+
+TEST(RuntimeGuard, QuarantineAfterBlacklistFallsBackByRegistrationIndex)
+{
+    // Pool [v-good-slow, v-bad, v-good] with v-bad blacklisted: the
+    // launch profiles the other two and v-good wins.  The stored
+    // profile list keeps one entry per registered variant, so the
+    // quarantine fallback is the measured runner-up, v-good-slow --
+    // not an entry shifted onto the demoted winner.
+    sim::CpuDevice dev;
+    runtime::Runtime rt(dev, guardedConfig(1));
+    registerBadVariantPool(rt, "k", 7.0f);
+    rt.guard().blacklist("k", "v-bad", "test");
+
+    GProbe p("k", 2048);
+    runtime::LaunchReport report;
+    ASSERT_TRUE(rt.launch("k", p.units, p.args, guardedOpt(), report)
+                    .ok());
+    ASSERT_EQ(report.selectedName, "v-good");
+    ASSERT_EQ(report.profiles.size(), 3u);
+    EXPECT_EQ(report.profiles[1].outcome, "blacklisted");
+
+    store::SelectionStore store;
+    const std::string fp = dev.fingerprint();
+    store.recordProfile(fp, report);
+    ASSERT_EQ(store.reportFailure("k", fp, p.units),
+              store::Observation::Quarantined);
+    const auto rec = store.lookup("k", fp, p.units);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->selected, 0);
+    EXPECT_EQ(rec->selectedName, "v-good-slow");
+    EXPECT_EQ(rec->quarantinedVariant, 2);
+    ASSERT_EQ(rec->profiles.size(), 3u);
+    EXPECT_FALSE(rec->profiles[1].measured());
+}
+
+TEST(ServiceGuard, StruckVariantIsNeverAQuarantineFallback)
+{
+    // Two variants; the faster one persistently corrupts its output.
+    // One strike is below the limit, so it is not blacklisted, but its
+    // profile is not a measurement either: when the stored winner's
+    // warm launch fails, the record is invalidated and re-profiled
+    // instead of quarantined onto the corrupt variant.
+    FaultInjector faults;
+    faults.setVariantFault("v-bad", VariantFaultKind::CorruptOutput);
+    store::SelectionStore store;
+    ServiceConfig cfg = guardedServiceConfig();
+    cfg.runtime.guard.strikeLimit = 2;
+    DispatchService svc(store, cfg);
+    svc.addDevice(std::make_unique<sim::CpuDevice>());
+    svc.device(0).setFaultInjector(&faults);
+    const std::string fp = svc.device(0).fingerprint();
+    svc.start();
+
+    auto job = [](GProbe &p) {
+        JobSpec spec;
+        spec.signature(p.sig).units(p.units).args(p.args).options(
+            guardedOpt());
+        spec.ensureRegistered([&p](runtime::Runtime &rt) {
+            rt.removeKernel(p.sig);
+            rt.addKernel(p.sig, floatKernel("v-good", 7.0f, 1000));
+            rt.addKernel(p.sig, floatKernel("v-bad", 7.0f, 100));
+            rt.setKernelInfo(p.sig, floatInfo(p.sig));
+        });
+        return spec;
+    };
+
+    GProbe cold("k", 2048);
+    const JobResult c = submitOne(svc, job(cold)).result();
+    ASSERT_TRUE(c.ok()) << c.status.toString();
+    ASSERT_EQ(c.report.selectedName, "v-good");
+    EXPECT_EQ(strikes(c.report).size(), 1u);
+    const auto rec = store.lookup("k", fp, cold.units);
+    ASSERT_TRUE(rec.has_value());
+    ASSERT_EQ(rec->profiles.size(), 2u);
+    EXPECT_TRUE(rec->profiles[0].measured());
+    EXPECT_FALSE(rec->profiles[1].measured());
+
+    faults.failNext();
+    GProbe warm("k", 2048);
+    const JobResult r = submitOne(svc, job(warm)).result();
+    ASSERT_TRUE(r.ok()) << r.status.toString();
+    EXPECT_EQ(r.attempts, 2u);
+    EXPECT_FALSE(r.warmStart);
+    EXPECT_TRUE(r.report.profiled);
+    EXPECT_EQ(r.report.selectedName, "v-good");
+    EXPECT_EQ(svc.metrics().counterValue("store.quarantine"), 0u);
+    EXPECT_EQ(svc.metrics().counterValue("store.drift_invalidation"), 1u);
+    warm.expectGroundTruth(7.0f);
+    svc.stop();
 }

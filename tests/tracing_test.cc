@@ -482,32 +482,32 @@ TEST(TracingRuntime, LaunchReportCarriesStructuredSelectionTimeline)
                                          guardedOpt());
     EXPECT_EQ(report.selectedName, "v-good-slow");
 
-    // One timeline entry per registered variant, registration order.
-    ASSERT_EQ(report.timeline.size(), 3u);
-    const auto &slow = report.timeline[0];
-    const auto &bad = report.timeline[1];
-    const auto &good = report.timeline[2];
+    // One profile per registered variant, registration order.
+    ASSERT_EQ(report.profiles.size(), 3u);
+    const auto &slow = report.profiles[0];
+    const auto &bad = report.profiles[1];
+    const auto &good = report.profiles[2];
 
-    EXPECT_EQ(slow.variant, "v-good-slow");
-    EXPECT_EQ(slow.guardOutcome, "pass");
+    EXPECT_EQ(slow.name, "v-good-slow");
+    EXPECT_EQ(slow.outcome, "pass");
     EXPECT_TRUE(slow.selected);
     EXPECT_GT(slow.units, 0u);
     EXPECT_GT(slow.metric, 0u);
     EXPECT_LT(slow.startTime, slow.endTime);
 
-    EXPECT_EQ(bad.variant, "v-bad");
-    EXPECT_EQ(bad.guardOutcome, "mismatch");
+    EXPECT_EQ(bad.name, "v-bad");
+    EXPECT_EQ(bad.outcome, "mismatch");
     EXPECT_FALSE(bad.selected);
     EXPECT_GT(bad.units, 0u);
 
-    EXPECT_EQ(good.variant, "v-good");
-    EXPECT_EQ(good.guardOutcome, "blacklisted");
+    EXPECT_EQ(good.name, "v-good");
+    EXPECT_EQ(good.outcome, "blacklisted");
     EXPECT_EQ(good.units, 0u);
     EXPECT_FALSE(good.selected);
 
-    // The timeline reconciles with the flat profile list.
+    // The profiles reconcile with the launch's profiled units.
     std::uint64_t profiledUnits = 0;
-    for (const auto &pass : report.timeline)
+    for (const auto &pass : report.profiles)
         profiledUnits += pass.units;
     EXPECT_EQ(profiledUnits, report.profiledUnits);
 }

@@ -404,11 +404,21 @@ runLoadGenMode(const Options &opt)
         std::cout << "wrote " << opt.loadgenJson << '\n';
     }
 
-    // Every submitted job must be terminal, one way or the other.
+    // Every submitted job must be terminal, one way or the other, and
+    // every admitted job read the store once: a hit or a miss.
     if (rep.jobsSubmitted
         != rep.jobsCompleted + rep.jobsFailed + rep.jobsShed) {
         std::cerr << "dyseld: loadgen job accounting does not "
                      "reconcile\n";
+        return 1;
+    }
+    if (rep.storeHits + rep.storeMisses
+        != rep.jobsSubmitted - rep.jobsShed) {
+        std::cerr << "dyseld: loadgen store hits (" << rep.storeHits
+                  << ") + misses (" << rep.storeMisses
+                  << ") do not reconcile with the "
+                  << rep.jobsSubmitted - rep.jobsShed
+                  << " admitted jobs\n";
         return 1;
     }
     if (federated && opt.save) {

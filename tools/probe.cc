@@ -54,11 +54,14 @@ probe(const char *tag, Workload w, const DeviceFactory &factory)
                     (unsigned long long)dr.firstIteration.eagerChunks,
                     (unsigned long long)dr.firstIteration.profiledUnits,
                     compiler::profilingModeName(dr.firstIteration.mode));
-        for (const auto &p : dr.firstIteration.profiles)
+        for (const auto &p : dr.firstIteration.profiles) {
+            if (p.units == 0)
+                continue; // blacklisted or never completed
             std::printf("        profile %-24s metric=%8.1f us span=%8.1f "
                         "us busy=%8.1f us\n",
                         p.name.c_str(), p.metric / 1e3, p.span / 1e3,
                         p.busy / 1e3);
+        }
     }
 }
 
