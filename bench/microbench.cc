@@ -1,12 +1,17 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
- * cache model throughput, trace-replay cost models, and the event
- * engine.  These bound the wall-clock cost of the reproduction (the
- * simulated kernels execute millions of traced accesses per figure).
+ * cache model throughput, trace-replay cost models, the event engine,
+ * and a packed fused launch end to end.  These bound the wall-clock
+ * cost of the reproduction (the simulated kernels execute millions of
+ * traced accesses per figure).
  */
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <vector>
+
+#include "dysel/runtime.hh"
 #include "kdp/context.hh"
 #include "sim/cache/cache.hh"
 #include "sim/cpu/cpu_cost_model.hh"
@@ -136,5 +141,59 @@ BM_TraceRecording(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64 * 64);
 }
 BENCHMARK(BM_TraceRecording);
+
+/**
+ * A packed fused launch in serve-warm's shape: a CpuDevice runs 8
+ * members of 512 units each with groupSize 8 and waFactor 1, so each
+ * physical group runs 8 member groups on one context re-addressed in
+ * place.  Reports host time per member group, cost model and event
+ * engine included.
+ */
+static void
+BM_FusedPackedLaunch(benchmark::State &state)
+{
+    constexpr std::uint64_t kMembers = 8;
+    constexpr std::uint64_t kUnits = 512;
+    CpuDevice dev;
+    runtime::Runtime rt(dev);
+    kdp::KernelVariant v;
+    v.name = "unit-stamp";
+    v.groupSize = 8;
+    v.waFactor = 1;
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
+        auto &out = args.buf<std::int32_t>(0);
+        const std::uint64_t unit = g.unitBase();
+        const auto lane = static_cast<std::uint32_t>(unit % g.groupSize());
+        g.store(out, unit, static_cast<std::int32_t>(unit + 1), lane);
+        g.flops(lane, 16);
+    };
+    if (!rt.tryAddKernel("stamp", std::move(v)).ok()) {
+        state.SkipWithError("kernel registration failed");
+        return;
+    }
+    std::vector<kdp::Buffer<std::int32_t>> outs;
+    outs.reserve(kMembers);
+    std::vector<kdp::KernelArgs> args(kMembers);
+    std::vector<runtime::FusedSlice> slices;
+    for (std::uint64_t m = 0; m < kMembers; ++m) {
+        outs.emplace_back(kUnits, kdp::MemSpace::Global, "out");
+        args[m].add(outs.back());
+        slices.push_back({&args[m], kUnits, 0});
+    }
+    runtime::LaunchReport report;
+    for (auto _ : state) {
+        if (!rt.launchFused("stamp", 0, std::span(slices),
+                            runtime::LaunchOptions(), report)
+                 .ok()) {
+            state.SkipWithError("fused launch failed");
+            return;
+        }
+        benchmark::ClobberMemory();
+    }
+    state.counters["ns_per_member_group"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kMembers * kUnits),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FusedPackedLaunch);
 
 BENCHMARK_MAIN();

@@ -344,8 +344,8 @@ Runtime::launchFused(const std::string &signature, int variant,
     // (waFactor < groupSize, the typical tiny-job shape) leaves most
     // of a physical group idle, so each physical group runs `pack`
     // consecutive member groups back to back.  Every member group
-    // keeps its exact solo-launch context (rebased into the member's
-    // own grid with the member's own argument list); only the
+    // keeps its exact solo-launch context (re-addressed into the
+    // member's own grid with the member's own argument list); only the
     // per-group scheduling constant is amortized.  For waFactor >=
     // groupSize this degenerates to one member group per physical
     // group, the unpacked behaviour.
@@ -353,12 +353,15 @@ Runtime::launchFused(const std::string &signature, int variant,
         1, real.groupSize / std::max<std::uint64_t>(1, real.waFactor));
     const std::uint64_t physGroups = (groups + pack - 1) / pack;
 
-    // The wrapper variant re-addresses each fused member group into
-    // its member's own grid and runs the real implementation with the
-    // member's own argument list.  It carries the real variant's name
-    // so launch-level fault injection treats fused and solo launches
-    // alike, but no sandboxIndex: output-corruption faults target
-    // profiling launches, where the guard can catch them.
+    // The wrapper variant re-addresses the physical group's context
+    // in place for each fused member group (GroupCtx::restart) and
+    // runs the real implementation with the member's own argument
+    // list.  The first member is found once per physical group; the
+    // rest follow by walking forward.  The wrapper carries the real
+    // variant's name so launch-level fault injection treats fused and
+    // solo launches alike, but no sandboxIndex: output-corruption
+    // faults target profiling launches, where the guard can catch
+    // them.
     kdp::KernelVariant wrapper;
     wrapper.name = real.name;
     wrapper.waFactor = real.waFactor;
@@ -377,8 +380,8 @@ Runtime::launchFused(const std::string &signature, int variant,
         for (std::uint64_t mg = lo; mg < hi; ++mg) {
             while (starts[m + 1] <= mg)
                 ++m;
-            kdp::GroupCtx local = g.rebased(mg - starts[m]);
-            fn(local, *mem[m].args);
+            g.restart(mg - starts[m]);
+            fn(g, *mem[m].args);
         }
     };
 

@@ -83,8 +83,8 @@ class GroupCtx
         if (group_size > maxGroupSize)
             support::panic("group size %u does not fit the trace's lane "
                            "field (max %u)", group_size, maxGroupSize);
-        rec->laneSeq.assign(group_size, 0);
-        rec->laneBranchSeq.assign(group_size, 0);
+        clearLanes(rec->laneSeq, group_size);
+        clearLanes(rec->laneBranchSeq, group_size);
         seqs = rec->laneSeq.data();
         branchSeqs = rec->laneBranchSeq.data();
     }
@@ -93,16 +93,20 @@ class GroupCtx
     std::uint64_t group() const { return groupId; }
 
     /**
-     * A fresh context for the same physical group re-addressed as
-     * @p group_id, sharing the trace recorder; its lane counters and
-     * scratchpad restart at zero.  Fused launches use
-     * this to hand each member kernel a context whose group id (and
-     * hence unitBase/globalId) is local to the member's own grid.
+     * Re-address this context in place as @p group_id: its lane
+     * counters and scratchpad arena restart at zero, while the trace
+     * keeps recording.  Fused launches call this between member
+     * groups, so each member kernel runs on a context whose group id
+     * (and hence unitBase/globalId) is local to the member's own grid,
+     * exactly as a fresh context would be, without building one.
      */
-    GroupCtx
-    rebased(std::uint64_t group_id) const
+    void
+    restart(std::uint64_t group_id)
     {
-        return GroupCtx(group_id, groupSz, waf, rec);
+        groupId = group_id;
+        clearLanes(seqs, groupSz);
+        clearLanes(branchSeqs, groupSz);
+        arenaBytes = 0;
     }
 
     /** Work-items per group. */
@@ -267,7 +271,7 @@ class GroupCtx
 
     /**
      * Append one access and raise its lane's row count.  Rows take the
-     * max because a rebased context restarts its counters at 0.
+     * max because restart() sets the counters back to 0.
      */
     void
     record(std::uint64_t addr, std::uint32_t bytes, MemSpace space,

@@ -10,9 +10,9 @@ WorkGroupTrace::reset(std::uint32_t group_size)
 {
     accesses.clear();
     branches.clear();
-    laneFlops.assign(group_size, 0);
-    laneAccessRows.assign(group_size, 0);
-    laneBranchRows.assign(group_size, 0);
+    clearLanes(laneFlops, group_size);
+    clearLanes(laneAccessRows, group_size);
+    clearLanes(laneBranchRows, group_size);
     barriers = 0;
     scratchBytes = 0;
 }

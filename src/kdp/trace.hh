@@ -13,6 +13,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mem_space.hh"
@@ -26,9 +27,9 @@ namespace kdp {
  *
  * @c seq counts each lane's accesses densely from 0 (GroupCtx keeps
  * one counter per lane in WorkGroupTrace::laneSeq; a fused launch
- * hands each member a fresh context, so the counters restart per
- * member).  Either way a lane's
- * largest seq is below its access count, and the trace records
+ * re-addresses one context per member through GroupCtx::restart(),
+ * which zeroes the counters, so they restart per member).  Either way
+ * a lane's largest seq is below its access count, and the trace records
  * max(seq) + 1 per lane in WorkGroupTrace::laneAccessRows, so the
  * timing models' op table never outgrows the trace.  sim/op_groups.hh
  * relies on this and panics on a trace that breaks it; BranchEvent::seq
@@ -87,6 +88,50 @@ constexpr std::uint32_t maxGroupSize = 1u << 16;
 /** Largest access width MemAccess::bytes holds. */
 constexpr std::uint32_t maxAccessBytes = (1u << 12) - 1;
 
+/**
+ * Zero the @p n lane slots at @p lanes with fixed-size stores.  A
+ * zeroing loop or a memset of variable length compiles to a library
+ * call, which costs more than the few stores a small group needs; the
+ * per-group and per-member paths clear lane state through this alone.
+ * Whole 32-byte blocks cover n >= one block (the last one overlapping
+ * its predecessor); a smaller n is the sum of at most three
+ * power-of-two pieces.
+ */
+template <typename T>
+inline void
+clearLanes(T *lanes, std::uint32_t n)
+{
+    constexpr std::uint32_t block = 32 / sizeof(T);
+    static_assert(block * sizeof(T) == 32, "lane slots must divide 32 bytes");
+    if (n >= block) {
+        for (std::uint32_t i = 0; i + block < n; i += block)
+            std::memset(lanes + i, 0, 32);
+        std::memset(lanes + n - block, 0, 32);
+        return;
+    }
+#pragma GCC unroll 4
+    for (std::uint32_t piece = block / 2; piece != 0; piece /= 2) {
+        if (n & piece) {
+            std::memset(lanes, 0, piece * sizeof(T));
+            lanes += piece;
+        }
+    }
+}
+
+/**
+ * Zero @p lanes as @p group_size slots.  A warm array of that size is
+ * cleared in place; only a change of group size re-sizes it.
+ */
+template <typename T>
+inline void
+clearLanes(std::vector<T> &lanes, std::uint32_t group_size)
+{
+    if (lanes.size() != group_size) [[unlikely]]
+        lanes.assign(group_size, T{});
+    else
+        clearLanes(lanes.data(), group_size);
+}
+
 /** One dynamic branch outcome (used for divergence analysis). */
 struct BranchEvent
 {
@@ -126,8 +171,9 @@ struct WorkGroupTrace
      * @name Recording scratch, not part of the recording
      * Storage GroupCtx borrows so that building a context does not
      * allocate once the trace is warm: the per-lane access and branch
-     * counters (zero-filled by each new context) and the scratchpad
-     * arena's bytes.  Only the newest context over a trace may record.
+     * counters (zeroed by each new context and by each
+     * GroupCtx::restart()) and the scratchpad arena's bytes.  Only the
+     * newest context over a trace may record.
      */
     /// @{
     std::vector<std::uint32_t> laneSeq;

@@ -520,7 +520,7 @@ recordBody(kdp::GroupCtx &g, Buffers &b, std::mt19937_64 &rng,
 /**
  * A random work-group trace for @p lanes work-items.  With @p fused,
  * two or three member bodies record into one trace through
- * GroupCtx::rebased, so every member's seq restarts at 0.
+ * GroupCtx::restart, so every member's seq restarts at 0.
  */
 kdp::WorkGroupTrace
 randomTrace(std::uint32_t lanes, bool fused, Buffers &b,
@@ -531,8 +531,9 @@ randomTrace(std::uint32_t lanes, bool fused, Buffers &b,
     kdp::GroupCtx g(rng() % 8, lanes, 1, &t);
     const unsigned members = fused ? 2 + rng() % 2 : 1;
     for (unsigned m = 0; m < members; ++m) {
-        kdp::GroupCtx member = m == 0 ? g : g.rebased(m);
-        recordBody(member, b, rng, 1 + rng() % 12,
+        if (m != 0)
+            g.restart(m);
+        recordBody(g, b, rng, 1 + rng() % 12,
                    static_cast<Interleave>(rng() % 3));
     }
     return t;
@@ -540,8 +541,8 @@ randomTrace(std::uint32_t lanes, bool fused, Buffers &b,
 
 /**
  * Trace with @p lanes work-items that only records branches; lanes
- * skip some, and with @p fused a second member records through a
- * rebased context.
+ * skip some, and with @p fused a second member records through the
+ * same context, restarted.
  */
 kdp::WorkGroupTrace
 branchOnlyTrace(std::uint32_t lanes, std::mt19937_64 &rng,
@@ -551,12 +552,13 @@ branchOnlyTrace(std::uint32_t lanes, std::mt19937_64 &rng,
     t.reset(lanes);
     kdp::GroupCtx g(0, lanes, 1, &t);
     for (unsigned m = 0; m < (fused ? 2u : 1u); ++m) {
-        kdp::GroupCtx member = m == 0 ? g : g.rebased(m);
+        if (m != 0)
+            g.restart(m);
         const unsigned rounds = 1 + rng() % 6;
         for (unsigned k = 0; k < rounds; ++k)
             for (std::uint32_t lane = 0; lane < lanes; ++lane)
                 if (rng() % 5 != 0)
-                    member.branch(lane, rng() % 3 == 0);
+                    g.branch(lane, rng() % 3 == 0);
     }
     return t;
 }

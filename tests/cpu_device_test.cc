@@ -352,9 +352,10 @@ TEST(CpuCostModel, SoftwarePrefetchIsPureOverheadOnCpu)
 
 /**
  * On a warm device, the per-work-group path allocates nothing: a
- * packed fused launch (8 member groups, so 9 contexts, per physical
- * group) of 4096 physical groups makes exactly as many heap
- * allocations as one of 64.  Only per-launch set-up may allocate.
+ * packed fused launch (8 member groups per physical group, all run on
+ * the physical group's one context, re-addressed in place) of 4096
+ * physical groups makes exactly as many heap allocations as one of
+ * 64.  Only per-launch set-up may allocate.
  */
 TEST(CpuDeviceAlloc, PackedFusedLaunchAllocatesPerLaunchNotPerGroup)
 {

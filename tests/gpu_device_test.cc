@@ -3,10 +3,13 @@
  * Tests for the GPU device simulator: occupancy, exclusive profiling
  * launches, cost-model properties (coalescing, divergence, texture
  * path, bank conflicts, lock-step ALU), and the allocation-free
- * per-work-group path.
+ * per-work-group path, solo and fused.
  */
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "dysel/runtime.hh"
 #include "kdp/context.hh"
 #include "sim/gpu/gpu_cost_model.hh"
 #include "sim/gpu/gpu_device.hh"
@@ -378,4 +381,72 @@ TEST(GpuDeviceAlloc, LocalScratchLaunchAllocatesPerLaunchNotPerGroup)
                       static_cast<float>(grp * kGroupSize + kGroupSize - 1
                                          - lane))
                 << grp << "/" << lane;
+}
+
+/**
+ * The GPU twin of CpuDeviceAlloc's packed fused launch: 8 member
+ * groups share each physical group's context, re-addressed in place,
+ * and each member stages through Local scratch that must read zero.
+ * 4096 physical groups make exactly as many heap allocations as 64.
+ */
+TEST(GpuDeviceAlloc, PackedFusedLaunchAllocatesPerLaunchNotPerGroup)
+{
+    constexpr std::uint32_t kGroupSize = 32;
+    constexpr std::uint64_t kWaFactor = 4;
+    constexpr std::uint64_t kPack = kGroupSize / kWaFactor;
+    GpuDevice dev;
+    runtime::Runtime rt(dev);
+    kdp::KernelVariant v;
+    v.name = "unit-stamp";
+    v.groupSize = kGroupSize;
+    v.waFactor = kWaFactor;
+    v.traits.scratchBytes = kWaFactor * sizeof(std::uint32_t);
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
+        auto &out = args.buf<std::uint32_t>(0);
+        auto tile = g.allocLocal<std::uint32_t>(g.waFactor());
+        kdp::forEachItem(g, [&](kdp::ItemCtx &item) {
+            const std::uint32_t lane = item.localId();
+            const std::uint64_t unit = g.unitBase() + lane;
+            if (lane >= g.waFactor() || unit >= out.size())
+                return;
+            // A stale slot from an earlier member would add to the sum.
+            const std::uint32_t stale = item.localGet(tile, lane);
+            item.localSet(tile, lane, static_cast<std::uint32_t>(unit));
+            item.store(out, unit,
+                       stale + static_cast<std::uint32_t>(unit + 1));
+        });
+    };
+    ASSERT_TRUE(rt.tryAddKernel("stamp", std::move(v)).ok());
+
+    // Two members per launch; each member covers half the groups.
+    constexpr std::uint64_t kSmall = 64 * kPack * kWaFactor / 2;
+    constexpr std::uint64_t kLarge = 4096 * kPack * kWaFactor / 2;
+    kdp::Buffer<std::uint32_t> a(kLarge, kdp::MemSpace::Global, "a");
+    kdp::Buffer<std::uint32_t> b(kLarge, kdp::MemSpace::Global, "b");
+    kdp::KernelArgs args_a, args_b;
+    args_a.add(a);
+    args_b.add(b);
+    auto fused = [&](std::uint64_t units) {
+        const runtime::FusedSlice slices[] = {{&args_a, units, 0},
+                                              {&args_b, units, 0}};
+        runtime::LaunchReport report;
+        ASSERT_TRUE(rt.launchFused("stamp", 0, std::span(slices),
+                                   runtime::LaunchOptions(), report)
+                        .ok());
+        ASSERT_TRUE(report.fused);
+    };
+
+    fused(kLarge); // warm-up: traces, slot tables and heaps at size
+    fused(kSmall);
+    const std::uint64_t groups0 = dev.groupsExecuted();
+    const std::uint64_t small = test::allocationsOf([&] { fused(kSmall); });
+    const std::uint64_t large = test::allocationsOf([&] { fused(kLarge); });
+    EXPECT_EQ(dev.groupsExecuted() - groups0, 64u + 4096u);
+    EXPECT_EQ(large, small)
+        << "the per-group path allocated: " << small << " allocations for "
+        << "64 groups, " << large << " for 4096";
+    for (std::uint64_t i = 0; i < kLarge; ++i) {
+        ASSERT_EQ(a.at(i), i + 1) << i;
+        ASSERT_EQ(b.at(i), i + 1) << i;
+    }
 }

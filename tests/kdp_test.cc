@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -126,6 +127,42 @@ TEST(Trace, ResetClearsEverything)
     EXPECT_EQ(t.barriers, 0u);
 }
 
+TEST(Trace, ResetClearsAWarmTraceAtNewAndSameSize)
+{
+    // Every size a lane array can take through the fixed-size clear:
+    // below one block, whole blocks, and blocks plus a tail.
+    const std::uint32_t sizes[] = {1, 3, 8, 13, 16, 33, 64, 257};
+    WorkGroupTrace t;
+    t.reset(5);
+    auto dirty = [&t] {
+        t.accesses.push_back(MemAccess{0, 0, 0, 4, MemSpace::Global, false,
+                                       false});
+        t.branches.push_back({0, 0, true});
+        std::fill(t.laneFlops.begin(), t.laneFlops.end(), 7);
+        std::fill(t.laneAccessRows.begin(), t.laneAccessRows.end(), 3);
+        std::fill(t.laneBranchRows.begin(), t.laneBranchRows.end(), 2);
+        t.barriers = 4;
+        t.scratchBytes = 64;
+    };
+    auto expectCleared = [&t](std::uint32_t n) {
+        EXPECT_TRUE(t.accesses.empty()) << n;
+        EXPECT_TRUE(t.branches.empty()) << n;
+        EXPECT_EQ(t.laneFlops, std::vector<std::uint64_t>(n, 0)) << n;
+        EXPECT_EQ(t.laneAccessRows, std::vector<std::uint32_t>(n, 0)) << n;
+        EXPECT_EQ(t.laneBranchRows, std::vector<std::uint32_t>(n, 0)) << n;
+        EXPECT_EQ(t.barriers, 0u) << n;
+        EXPECT_EQ(t.scratchBytes, 0u) << n;
+    };
+    for (std::uint32_t n : sizes) {
+        dirty();
+        t.reset(n); // a new size re-sizes the lane arrays
+        expectCleared(n);
+        dirty();
+        t.reset(n); // the same size clears them in place
+        expectCleared(n);
+    }
+}
+
 TEST(GroupCtx, RecordsAccessesInExecutionOrder)
 {
     Buffer<float> buf(16, MemSpace::Global, "b");
@@ -190,10 +227,10 @@ TEST(GroupCtx, RecordsLaneRows)
     EXPECT_EQ(t.laneBranchRows, (std::vector<std::uint32_t>{0, 3, 0}));
 }
 
-TEST(GroupCtx, LaneRowsAreTheMaxAcrossRebasedContexts)
+TEST(GroupCtx, LaneRowsAreTheMaxAcrossRestarts)
 {
     // A fused launch records several members into one trace; each
-    // member's context restarts its per-lane counters at 0, so a
+    // member's restart() sets the per-lane counters back to 0, so a
     // lane's rows are the largest count any member reached.
     Buffer<float> buf(16, MemSpace::Global, "b");
     WorkGroupTrace t;
@@ -202,12 +239,13 @@ TEST(GroupCtx, LaneRowsAreTheMaxAcrossRebasedContexts)
     const std::uint32_t loads[3][2] = {{3, 1}, {1, 4}, {2, 0}};
     const std::uint32_t branches[3][2] = {{0, 2}, {5, 1}, {1, 3}};
     for (std::uint64_t m = 0; m < 3; ++m) {
-        GroupCtx member = m == 0 ? g : g.rebased(m);
+        if (m != 0)
+            g.restart(m);
         for (std::uint32_t lane = 0; lane < 2; ++lane) {
             for (std::uint32_t k = 0; k < loads[m][lane]; ++k)
-                member.load(buf, k, lane);
+                g.load(buf, k, lane);
             for (std::uint32_t k = 0; k < branches[m][lane]; ++k)
-                member.branch(lane, k % 2 == 0);
+                g.branch(lane, k % 2 == 0);
         }
     }
     for (std::uint32_t lane = 0; lane < 2; ++lane) {
@@ -301,7 +339,7 @@ TEST(GroupCtx, ScratchpadAllocationAndAccess)
     EXPECT_EQ(t.barriers, 1u);
 }
 
-TEST(GroupCtx, RebasedContextRestartsLaneSeqsAtZero)
+TEST(GroupCtx, RestartSetsLaneSeqsBackToZero)
 {
     Buffer<float> buf(16, MemSpace::Global, "b");
     WorkGroupTrace t;
@@ -310,12 +348,14 @@ TEST(GroupCtx, RebasedContextRestartsLaneSeqsAtZero)
     g.load(buf, 0, 0);
     g.load(buf, 1, 0);
     g.branch(1, true);
-    GroupCtx member = g.rebased(9);
-    EXPECT_EQ(member.group(), 9u);
-    EXPECT_EQ(member.unitBase(), 27u);
-    member.load(buf, 2, 0);
-    member.load(buf, 3, 1);
-    member.branch(1, false);
+    g.allocLocal<float>(4);
+    g.restart(9);
+    EXPECT_EQ(g.group(), 9u);
+    EXPECT_EQ(g.unitBase(), 27u);
+    EXPECT_EQ(g.scratchBytes(), 0u);
+    g.load(buf, 2, 0);
+    g.load(buf, 3, 1);
+    g.branch(1, false);
     ASSERT_EQ(t.accesses.size(), 4u);
     EXPECT_EQ(t.accesses[2].seq, 0u); // lane 0 restarts
     EXPECT_EQ(t.accesses[3].seq, 0u);
@@ -329,14 +369,14 @@ TEST(GroupCtx, RebasedContextRestartsLaneSeqsAtZero)
 TEST(GroupCtx, LocalScratchReadsZeroOnEachNewGroup)
 {
     // One trace reused across groups, as the devices do: every group
-    // (and every rebased member within one) sees zero-filled scratch,
-    // whatever the previous one left behind.
+    // (and every restarted member within one) sees zero-filled
+    // scratch, whatever the previous one left behind.
     WorkGroupTrace t;
     for (std::uint64_t group = 0; group < 3; ++group) {
         t.reset(2);
-        GroupCtx g(group, 2, 1, &t);
+        GroupCtx member(group, 2, 1, &t);
         for (std::uint64_t m = 0; m < 2; ++m) {
-            GroupCtx member = g.rebased(group * 2 + m);
+            member.restart(group * 2 + m);
             auto small = member.allocLocal<std::int32_t>(4);
             auto big = member.allocLocal<double>(8 + group);
             EXPECT_EQ(member.scratchBytes(),
@@ -352,6 +392,107 @@ TEST(GroupCtx, LocalScratchReadsZeroOnEachNewGroup)
                 big.set(member, i, 3.5, 0);
             }
         }
+    }
+}
+
+namespace {
+
+/** A MemAccess's two words. */
+struct AccessWords
+{
+    std::uint64_t addr;
+    std::uint64_t packed;
+
+    bool operator==(const AccessWords &) const = default;
+};
+
+/** Everything a member body records, in one comparable form. */
+struct Recording
+{
+    std::vector<AccessWords> accesses;
+    std::vector<std::uint64_t> branches;
+    std::vector<std::uint64_t> laneFlops;
+    std::vector<std::uint32_t> laneAccessRows;
+    std::vector<std::uint32_t> laneBranchRows;
+    std::uint64_t nonzeroScratchReads = 0;
+
+    bool operator==(const Recording &) const = default;
+};
+
+Recording
+recordingOf(const WorkGroupTrace &t, std::uint64_t nonzero_scratch_reads)
+{
+    Recording r;
+    for (const MemAccess &a : t.accesses)
+        r.accesses.push_back(std::bit_cast<AccessWords>(a));
+    for (const BranchEvent &b : t.branches)
+        r.branches.push_back(std::uint64_t{b.lane} << 33
+                             | std::uint64_t{b.seq} << 1 | b.taken);
+    r.laneFlops = t.laneFlops;
+    r.laneAccessRows = t.laneAccessRows;
+    r.laneBranchRows = t.laneBranchRows;
+    r.nonzeroScratchReads = nonzero_scratch_reads;
+    return r;
+}
+
+/**
+ * Member @p m's body: every lane loads at its global id and branches a
+ * lane- and member-dependent number of times, and a Local array the
+ * group's size is read (it must be zero) and then dirtied.
+ */
+void
+memberBody(GroupCtx &g, std::uint64_t m, Buffer<float> &buf,
+           std::uint64_t &nonzero_scratch_reads)
+{
+    auto tile = g.allocLocal<std::uint32_t>(g.groupSize());
+    for (std::uint32_t lane = 0; lane < g.groupSize(); ++lane) {
+        const std::uint32_t reps = 1 + (lane + m) % 4;
+        for (std::uint32_t k = 0; k < reps; ++k) {
+            g.load(buf, (g.globalId(lane) + k) % buf.size(), lane);
+            g.branch(lane, (k + m) % 2 == 0);
+        }
+        g.flops(lane, lane + m);
+        if (tile.get(g, lane, lane) != 0)
+            ++nonzero_scratch_reads;
+        tile.set(g, lane, lane + 1, lane);
+    }
+}
+
+} // namespace
+
+TEST(GroupCtx, RestartMatchesFreshContexts)
+{
+    // Sizes below one 32-byte block of lane slots, whole blocks, and
+    // blocks plus every kind of tail.
+    const std::uint32_t sizes[] = {1, 3, 8, 13, 16, 33, 64, 257};
+    Buffer<float> buf(8192, MemSpace::Global, "b");
+    WorkGroupTrace reused;
+    for (std::uint32_t n : sizes) {
+        // Run the members twice over the reused trace, so the second
+        // pass restarts a context on a warm, dirty trace.
+        std::uint64_t reused_nonzero = 0;
+        for (int pass = 0; pass < 2; ++pass) {
+            reused.reset(n);
+            reused_nonzero = 0;
+            GroupCtx g(5, n, 2, &reused);
+            for (std::uint64_t m = 0; m < 3; ++m) {
+                g.restart(10 + m);
+                memberBody(g, m, buf, reused_nonzero);
+            }
+        }
+
+        WorkGroupTrace fresh_trace;
+        fresh_trace.reset(n);
+        std::uint64_t fresh_nonzero = 0;
+        for (std::uint64_t m = 0; m < 3; ++m) {
+            GroupCtx fresh(10 + m, n, 2, &fresh_trace);
+            memberBody(fresh, m, buf, fresh_nonzero);
+        }
+
+        EXPECT_EQ(fresh_nonzero, 0u) << n;
+        EXPECT_TRUE(recordingOf(reused, reused_nonzero)
+                    == recordingOf(fresh_trace, fresh_nonzero))
+            << "group size " << n;
     }
 }
 
