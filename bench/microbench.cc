@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
  * cache model throughput, trace-replay cost models, the event engine,
- * and a packed fused launch end to end.  These bound the wall-clock
+ * per-work-group dispatch of solo and multi-stream launches, and a
+ * packed fused launch end to end.  These bound the wall-clock
  * cost of the reproduction (the simulated kernels execute millions of
  * traced accesses per figure).
  */
@@ -142,6 +143,84 @@ BM_TraceRecording(benchmark::State &state)
 }
 BENCHMARK(BM_TraceRecording);
 
+namespace {
+
+/** A one-store kernel: each group stamps its first unit. */
+kdp::KernelVariant
+stampKernel()
+{
+    kdp::KernelVariant v;
+    v.name = "unit-stamp";
+    v.groupSize = 8;
+    v.waFactor = 1;
+    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
+        auto &out = args.buf<std::int32_t>(0);
+        const std::uint64_t unit = g.unitBase();
+        const auto lane = static_cast<std::uint32_t>(unit % g.groupSize());
+        g.store(out, unit, static_cast<std::int32_t>(unit + 1), lane);
+        g.flops(lane, 16);
+    };
+    return v;
+}
+
+/**
+ * Submit one launch of @p groups stamp groups on each of @p streams
+ * priority-@p priority streams of a CpuDevice and run the device
+ * dry, once per iteration; report host ns per group.
+ */
+void
+runStampLaunches(benchmark::State &state, std::uint64_t streams,
+                 std::uint64_t groups, int priority)
+{
+    CpuDevice dev;
+    const kdp::KernelVariant v = stampKernel();
+    kdp::Buffer<std::int32_t> out(streams * groups * v.groupSize,
+                                  kdp::MemSpace::Global, "out");
+    for (auto _ : state) {
+        for (std::uint64_t s = 0; s < streams; ++s) {
+            Launch l;
+            l.variant = &v;
+            l.args.add(out);
+            l.firstGroup = s * groups;
+            l.numGroups = groups;
+            l.stream = static_cast<int>(s + 1);
+            l.priority = priority;
+            dev.submit(std::move(l));
+        }
+        dev.run();
+        benchmark::ClobberMemory();
+    }
+    state.counters["ns_per_group"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * streams * groups),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+} // namespace
+
+/**
+ * Serve-cold's shape: one solo launch of 4096 one-access groups
+ * (groupSize 8, waFactor 1) on one stream.  Mostly per-group dispatch:
+ * the event heap, the dispatch queue, the core wake-up and the
+ * argument check.
+ */
+static void
+BM_SoloLaunchDispatch(benchmark::State &state)
+{
+    runStampLaunches(state, 1, 4096, 0);
+}
+BENCHMARK(BM_SoloLaunchDispatch);
+
+/**
+ * Three priority-1 streams of 1365 groups each, served round-robin
+ * the way concurrent micro-profiling slices are.
+ */
+static void
+BM_ProfilingStreams(benchmark::State &state)
+{
+    runStampLaunches(state, 3, 1365, 1);
+}
+BENCHMARK(BM_ProfilingStreams);
+
 /**
  * A packed fused launch in serve-warm's shape: a CpuDevice runs 8
  * members of 512 units each with groupSize 8 and waFactor 1, so each
@@ -156,18 +235,7 @@ BM_FusedPackedLaunch(benchmark::State &state)
     constexpr std::uint64_t kUnits = 512;
     CpuDevice dev;
     runtime::Runtime rt(dev);
-    kdp::KernelVariant v;
-    v.name = "unit-stamp";
-    v.groupSize = 8;
-    v.waFactor = 1;
-    v.fn = [](kdp::GroupCtx &g, const kdp::KernelArgs &args) {
-        auto &out = args.buf<std::int32_t>(0);
-        const std::uint64_t unit = g.unitBase();
-        const auto lane = static_cast<std::uint32_t>(unit % g.groupSize());
-        g.store(out, unit, static_cast<std::int32_t>(unit + 1), lane);
-        g.flops(lane, 16);
-    };
-    if (!rt.tryAddKernel("stamp", std::move(v)).ok()) {
+    if (!rt.tryAddKernel("stamp", stampKernel()).ok()) {
         state.SkipWithError("kernel registration failed");
         return;
     }

@@ -11,10 +11,11 @@ std::atomic<std::uint64_t> g_nextAddr{0x1000};
 
 } // namespace
 
-BufferBase::BufferBase(std::uint64_t n, std::uint32_t elem_bytes, MemSpace s,
+BufferBase::BufferBase(std::uint64_t n, std::uint32_t elem_bytes,
+                       const std::type_info &elem_type, MemSpace s,
                        std::string name)
-    : base(allocAddr(n * elem_bytes)), count(n), elemBytes(elem_bytes),
-      memSpace(s), label(std::move(name))
+    : base(allocAddr(n * elem_bytes)), count(n), elemTag(&elem_type),
+      elemBytes(elem_bytes), memSpace(s), label(std::move(name))
 {
 }
 

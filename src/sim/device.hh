@@ -1,6 +1,8 @@
 /**
  * @file
- * Abstract device interface shared by the CPU and GPU simulators.
+ * Abstract device interface shared by the CPU and GPU simulators,
+ * with the parts they share: launch submission (fault checks, the
+ * dispatch queue) and duration noise.
  *
  * A device executes kernel work-groups for real (producing real
  * outputs) while charging virtual time from its timing model.  It is
@@ -19,9 +21,12 @@
 #include <utility>
 #include <vector>
 
+#include "support/rng.hh"
+
 #include "event_engine.hh"
 #include "fault.hh"
 #include "launch.hh"
+#include "sched.hh"
 #include "time.hh"
 
 namespace dysel {
@@ -60,8 +65,14 @@ class Device
      */
     virtual unsigned computeUnits() const = 0;
 
-    /** Enqueue a launch.  Completion arrives via launch.onComplete. */
-    virtual void submit(Launch launch) = 0;
+    /**
+     * Enqueue a launch.  Completion arrives via launch.onComplete.
+     * The fault injector may drop it (a Nop event then charges the
+     * overhead plus any stall) or stretch its work-groups; otherwise
+     * it reaches the dispatch queue launchOverheadNs() from now as a
+     * LaunchArrive event for the subclass's EventSink.
+     */
+    void submit(Launch launch);
 
     /** Fixed virtual cost of one kernel launch from the host. */
     virtual TimeNs launchOverheadNs() const = 0;
@@ -110,11 +121,29 @@ class Device
 
   protected:
     /**
-     * Consult the injector for @p launch (device subclasses call this
-     * from submit()).  At most one launch-aborting fault is raised
-     * per run: once a pending fault exists the attempt is doomed, so
-     * further draws would only skew the event-log/metrics
-     * reconciliation.  Returns the fault to apply.
+     * @p noise_sigma, @p noise_ref_ns and @p noise_seed configure
+     * addNoise() (see CpuConfig::noiseSigma).
+     */
+    Device(double noise_sigma, TimeNs noise_ref_ns,
+           std::uint64_t noise_seed)
+        : noiseSigma(noise_sigma), noiseRefNs(noise_ref_ns),
+          rng(noise_seed)
+    {}
+
+    /**
+     * Apply the configured measurement noise to a work-group duration:
+     * relative, scaled up for durations below the reference (system
+     * noise hits tiny tasks hardest, §5.2), deterministic through the
+     * device's own RNG.  Identity when the sigma is 0.
+     */
+    TimeNs addNoise(TimeNs d);
+
+    /**
+     * Consult the injector for @p launch (submit() calls this).  At
+     * most one launch-aborting fault is raised per run: once a
+     * pending fault exists the attempt is doomed, so further draws
+     * would only skew the event-log/metrics reconciliation.  Returns
+     * the fault to apply.
      */
     FaultKind checkLaunchFault(const Launch &launch)
     {
@@ -135,8 +164,8 @@ class Device
 
     /**
      * Consult the injector for a persistent variant-level fault of
-     * @p launch's variant (device subclasses call this from submit()
-     * after checkLaunchFault()).
+     * @p launch's variant (submit() calls this after
+     * checkLaunchFault()).
      *
      * KernelHang is returned to the caller, which must drop the
      * launch and charge the watchdog stall itself; unlike a device
@@ -214,8 +243,15 @@ class Device
     }
 
     EventEngine events;
+    /** Submitted launches; the subclass dispatches their groups. */
+    DispatchQueue queue;
     FaultInjector *faults = nullptr;
     std::optional<FaultEvent> pendingFault;
+
+  private:
+    double noiseSigma;
+    TimeNs noiseRefNs;
+    support::Rng rng;
 };
 
 } // namespace sim

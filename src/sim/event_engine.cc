@@ -34,17 +34,29 @@ EventEngine::scheduleAfter(TimeNs delay, Callback fn)
 void
 EventEngine::push(const Event &ev)
 {
+    if (rootFiring) {
+        rootFiring = false;
+        replaceRoot(ev);
+        return;
+    }
     heap.push_back(ev);
     std::push_heap(heap.begin(), heap.end(), later);
 }
 
-EventEngine::Event
-EventEngine::pop()
+void
+EventEngine::replaceRoot(const Event &ev)
 {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Event ev = heap.back();
-    heap.pop_back();
-    return ev;
+    const std::size_t n = heap.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+        if (child + 1 < n && later(heap[child], heap[child + 1]))
+            ++child;
+        if (!later(ev, heap[child]))
+            break;
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = ev;
 }
 
 void
@@ -54,7 +66,10 @@ EventEngine::run()
         support::panic("EventEngine::run is not reentrant");
     running = true;
     while (!heap.empty()) {
-        const Event ev = pop();
+        // Copied: the first event posted while this one fires
+        // overwrites heap[0].
+        const Event ev = heap[0];
+        rootFiring = true;
         currentTime = ev.when;
         ++fired;
         if (ev.kind == callbackKind) {
@@ -66,6 +81,14 @@ EventEngine::run()
             fn();
         } else if (ev.kind != EventKind::Nop) {
             sink->fire(ev.kind, ev.unit);
+        }
+        if (rootFiring) {
+            // Nothing was posted: remove the fired root.
+            rootFiring = false;
+            const Event last = heap.back();
+            heap.pop_back();
+            if (!heap.empty())
+                replaceRoot(last);
         }
     }
     running = false;

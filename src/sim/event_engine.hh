@@ -8,9 +8,16 @@
  * name a core, SM slot or launch slot and are handed to the device's
  * EventSink.  Typed events are plain values in a flat binary heap, so
  * the per-work-group path neither allocates nor type-erases; on small
- * work-groups that dispatch is a large share of host time.  Single
- * threaded on purpose: determinism matters more than wall-clock speed
- * for a timing model.
+ * work-groups that dispatch is a large share of host time.
+ *
+ * run() fires the heap root in place: the first event posted while it
+ * fires takes over the root's slot with one sift-down, so a work-group
+ * that ends by posting its successor costs one heap repair instead of
+ * a pop and a push.  (when, seq) is a total order, so the firing order
+ * is exactly that of popping first.
+ *
+ * Single threaded on purpose: determinism matters more than wall-clock
+ * speed for a timing model.
  */
 #pragma once
 
@@ -79,8 +86,8 @@ class EventEngine
     /** Run until no events remain. */
     void run();
 
-    /** True when no events are pending. */
-    bool idle() const { return heap.empty(); }
+    /** True when no events are pending, not counting the firing one. */
+    bool idle() const { return heap.size() == (rootFiring ? 1u : 0u); }
 
     /** Number of events dispatched since construction. */
     std::uint64_t eventsFired() const { return fired; }
@@ -111,9 +118,16 @@ class EventEngine
     }
 
     void push(const Event &ev);
-    Event pop();
+
+    /** Put @p ev at the root's slot and sift it down. */
+    void replaceRoot(const Event &ev);
 
     std::vector<Event> heap;
+    /**
+     * heap[0] is the event run() is firing; the next push() takes its
+     * slot instead of growing the heap.
+     */
+    bool rootFiring = false;
     /** Pending callbacks by slot; fired slots are recycled. */
     std::vector<Callback> callbacks;
     std::vector<std::uint32_t> freeCallbacks;

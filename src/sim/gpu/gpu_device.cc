@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cmath>
 #include <stdexcept>
 
 #include "kdp/context.hh"
@@ -13,8 +12,8 @@ namespace dysel {
 namespace sim {
 
 GpuDevice::GpuDevice(const GpuConfig &cfg)
-    : config(cfg), debugPlacement(std::getenv("DYSEL_GPU_DEBUG") != nullptr),
-      l2(cfg.l2), rng(cfg.seed)
+    : Device(cfg.noiseSigma, cfg.noiseRefNs, cfg.seed), config(cfg),
+      debugPlacement(std::getenv("DYSEL_GPU_DEBUG") != nullptr), l2(cfg.l2)
 {
     if (cfg.sms == 0)
         throw std::invalid_argument("GpuDevice needs at least one SM");
@@ -72,43 +71,6 @@ GpuDevice::occupancy(const kdp::KernelVariant &variant) const
         ++blocks;
     }
     return blocks;
-}
-
-void
-GpuDevice::submit(Launch launch)
-{
-    if (launch.numGroups == 0)
-        support::panic("GpuDevice::submit with zero work-groups");
-    double time_scale = 1.0;
-    switch (checkLaunchFault(launch)) {
-      case FaultKind::LaunchFail:
-        events.postAfter(config.launchOverheadNs, EventKind::Nop);
-        return;
-      case FaultKind::Hang:
-        events.postAfter(
-            config.launchOverheadNs + faults->config().hangStallNs,
-            EventKind::Nop);
-        return;
-      case FaultKind::LatencySpike:
-        time_scale = faults->config().latencySpikeFactor;
-        break;
-      default:
-        break;
-    }
-    if (checkVariantFault(launch) == VariantFaultKind::KernelHang) {
-        // The variant never finishes; the slice is dropped after the
-        // watchdog stall.  The device is not wedged and no aborting
-        // fault is raised -- the guard notices the missing completion.
-        events.postAfter(
-            config.launchOverheadNs + faults->config().variantHangStallNs,
-            EventKind::Nop);
-        return;
-    }
-    const std::uint32_t slot = queue.acquire(std::move(launch));
-    ActiveLaunch &al = queue[slot];
-    al.stats.submitTime = now();
-    al.timeScale = time_scale;
-    events.postAfter(config.launchOverheadNs, EventKind::LaunchArrive, slot);
 }
 
 void
@@ -230,23 +192,6 @@ GpuDevice::place(unsigned idx, std::uint32_t slot)
     }
     blocks[b] = Block{slot, idx, dur, fp};
     events.postAfter(dur, EventKind::GroupDone, b);
-}
-
-TimeNs
-GpuDevice::addNoise(TimeNs d)
-{
-    if (config.noiseSigma <= 0.0)
-        return d;
-    const double u1 = std::max(rng.nextDouble(), 1e-12);
-    const double u2 = rng.nextDouble();
-    const double gauss =
-        std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-    const double ref = static_cast<double>(config.noiseRefNs);
-    const double scale =
-        std::min(1.0, ref / std::max<double>(1.0, static_cast<double>(d)));
-    const double factor =
-        std::max(0.2, 1.0 + config.noiseSigma * scale * gauss);
-    return static_cast<TimeNs>(static_cast<double>(d) * factor) + 1;
 }
 
 } // namespace sim

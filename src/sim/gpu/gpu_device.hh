@@ -20,11 +20,9 @@
 #include <vector>
 
 #include "kdp/trace.hh"
-#include "support/rng.hh"
 
 #include "sim/cache/cache.hh"
 #include "sim/device.hh"
-#include "sim/sched.hh"
 
 #include "gpu_cost_model.hh"
 
@@ -77,8 +75,6 @@ class GpuDevice : public Device, private EventSink
         return config.hostQueryLatencyNs;
     }
 
-    void submit(Launch launch) override;
-
     /** Work-groups executed since construction. */
     std::uint64_t groupsExecuted() const { return nGroups; }
 
@@ -129,8 +125,6 @@ class GpuDevice : public Device, private EventSink
     /** Run one work-group of launch @p slot on SM @p idx. */
     void place(unsigned idx, std::uint32_t slot);
 
-    TimeNs addNoise(TimeNs d);
-
     GpuConfig config;
     /** Print every placed block to stderr (DYSEL_GPU_DEBUG set). */
     const bool debugPlacement;
@@ -139,11 +133,9 @@ class GpuDevice : public Device, private EventSink
     std::vector<Block> blocks;
     std::vector<std::uint32_t> freeBlocks;
     Cache l2;
-    DispatchQueue queue;
     std::uint64_t residentBlocks = 0;
     std::uint32_t exclusiveOwner = DispatchQueue::none;
     kdp::WorkGroupTrace traceBuf;
-    support::Rng rng;
     std::uint64_t nGroups = 0;
 };
 

@@ -9,13 +9,13 @@
  *
  * Launches live in a slot table and are named by slot index, so the
  * per-work-group path handles plain integers: no reference counting,
- * no node-based containers.
+ * and a slot lookup is one index and one load.
  */
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "launch.hh"
@@ -89,23 +89,23 @@ class DispatchQueue
         std::uint32_t slot;
         if (freeSlots.empty()) {
             slot = static_cast<std::uint32_t>(slots.size());
-            slots.emplace_back(); // a deque: live references stay valid
+            slots.push_back(std::make_unique<ActiveLaunch>());
         } else {
             slot = freeSlots.back();
             freeSlots.pop_back();
         }
-        slots[slot].launch = std::move(launch);
+        slots[slot]->launch = std::move(launch);
         return slot;
     }
 
-    /** The launch in @p slot. */
-    ActiveLaunch &operator[](std::uint32_t slot) { return slots[slot]; }
+    /** The launch in @p slot; the reference outlives later acquires. */
+    ActiveLaunch &operator[](std::uint32_t slot) { return *slots[slot]; }
 
     /** Make the launch in @p slot dispatchable, behind its stream. */
     void
     add(std::uint32_t slot)
     {
-        const int id = slots[slot].launch.stream;
+        const int id = slots[slot]->launch.stream;
         auto it = std::lower_bound(
             streams.begin(), streams.end(), id,
             [](const Stream &s, int key) { return s.id < key; });
@@ -132,11 +132,11 @@ class DispatchQueue
             // Retire completed launches from the stream head so the
             // next launch in the stream becomes dispatchable.
             while (s.head < s.fifo.size()
-                   && slots[s.fifo[s.head]].finished())
+                   && slots[s.fifo[s.head]]->finished())
                 retireHead(s);
             if (s.head == s.fifo.size())
                 continue;
-            const ActiveLaunch &head = slots[s.fifo[s.head]];
+            const ActiveLaunch &head = *slots[s.fifo[s.head]];
             if (head.allIssued())
                 continue;
             if (!best || head.launch.priority > bestLaunch->launch.priority
@@ -164,8 +164,8 @@ class DispatchQueue
             // The stream head is its first unfinished launch.
             auto head = std::find_if(
                 s.fifo.begin() + s.head, s.fifo.end(),
-                [this](std::uint32_t l) { return !slots[l].finished(); });
-            if (head != s.fifo.end() && !slots[*head].allIssued())
+                [this](std::uint32_t l) { return !slots[l]->finished(); });
+            if (head != s.fifo.end() && !slots[*head]->allIssued())
                 return false;
         }
         return true;
@@ -186,7 +186,7 @@ class DispatchQueue
     retireHead(Stream &s)
     {
         const std::uint32_t slot = s.fifo[s.head++];
-        slots[slot] = ActiveLaunch(); // drop the launch's args/closures
+        *slots[slot] = ActiveLaunch(); // drop the launch's args/closures
         freeSlots.push_back(slot);
         // Compact once the retired prefix is most of the fifo, so a
         // stream that never empties does not grow without bound.
@@ -197,7 +197,8 @@ class DispatchQueue
         }
     }
 
-    std::deque<ActiveLaunch> slots;
+    /** Boxed, so a live reference survives the table growing. */
+    std::vector<std::unique_ptr<ActiveLaunch>> slots;
     std::vector<std::uint32_t> freeSlots;
     std::vector<Stream> streams; ///< sorted by id
     std::uint64_t tick = 0;

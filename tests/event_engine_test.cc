@@ -2,15 +2,19 @@
  * @file
  * Unit tests for the discrete-event engine: time ordering, FIFO
  * tie-breaking, reentrancy from callbacks, typed events interleaved
- * with callbacks, and callback slot recycling.
+ * with callbacks, callback slot recycling, and a seeded property test
+ * against a pop-first reference engine.
  */
+#include <algorithm>
 #include <memory>
+#include <queue>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_engine.hh"
+#include "support/rng.hh"
 
 #include "alloc_hook.hh"
 
@@ -239,4 +243,216 @@ TEST(EventEngineDeath, RunIsNotReentrantFromASink)
     e.attach(sink);
     e.postAfter(1, EventKind::GroupDone, 0);
     EXPECT_DEATH(e.run(), "not reentrant");
+}
+
+// ---- Property: the in-place root fire keeps the pop-first order ------
+
+namespace {
+
+/** What a firing event saw of its engine, at entry and after a post. */
+struct Observed
+{
+    std::uint32_t id;
+    TimeNs at;
+    bool idleAtEntry;
+    std::uint64_t firedAtEntry;
+    bool idleAfterPost; ///< false when the event posted nothing
+    std::uint64_t firedAfterPost;
+
+    bool operator==(const Observed &) const = default;
+};
+
+/** How a scripted event is posted. */
+enum class Post {
+    Typed,         ///< postAfter(delay, GroupDone, id)
+    Nop,           ///< postAfter(delay, Nop): fires unseen
+    Schedule,      ///< schedule(now + delay) of a callback
+    SchedulePast,  ///< schedule(now - 1): clamped to now
+    ScheduleAfter, ///< scheduleAfter(delay) of a callback
+};
+
+/**
+ * The reference: pop the earliest (when, seq), then fire it, over a
+ * std::priority_queue.
+ */
+class PopFirstEngine
+{
+  public:
+    void
+    post(Post how, TimeNs delay, std::uint32_t id)
+    {
+        TimeNs when = current + delay;
+        if (how == Post::SchedulePast)
+            when = current; // clamped from current - 1
+        queue.push(Ev{when, seq++, id, how == Post::Nop});
+    }
+
+    TimeNs now() const { return current; }
+    bool idle() const { return queue.empty(); }
+    std::uint64_t eventsFired() const { return fired; }
+
+    template <typename Fire>
+    void
+    run(Fire &&fire)
+    {
+        while (!queue.empty()) {
+            const Ev ev = queue.top();
+            queue.pop();
+            current = ev.when;
+            ++fired;
+            if (!ev.nop)
+                fire(ev.id);
+        }
+    }
+
+  private:
+    struct Ev
+    {
+        TimeNs when;
+        std::uint64_t seq;
+        std::uint32_t id;
+        bool nop;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            return std::tie(a.when, a.seq) > std::tie(b.when, b.seq);
+        }
+    };
+
+    std::priority_queue<Ev, std::vector<Ev>, Later> queue;
+    TimeNs current = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t fired = 0;
+};
+
+/** The engine under test behind PopFirstEngine's interface. */
+class EngineUnderTest : EventSink
+{
+  public:
+    EngineUnderTest() { engine.attach(*this); }
+
+    void
+    post(Post how, TimeNs delay, std::uint32_t id)
+    {
+        auto call = [this, id] { (*onFire)(id); };
+        switch (how) {
+          case Post::Typed:
+            engine.postAfter(delay, EventKind::GroupDone, id);
+            break;
+          case Post::Nop:
+            engine.postAfter(delay, EventKind::Nop);
+            break;
+          case Post::Schedule:
+            engine.schedule(engine.now() + delay, call);
+            break;
+          case Post::SchedulePast:
+            engine.schedule(engine.now() == 0 ? 0 : engine.now() - 1,
+                            call);
+            break;
+          case Post::ScheduleAfter:
+            engine.scheduleAfter(delay, call);
+            break;
+        }
+    }
+
+    TimeNs now() const { return engine.now(); }
+    bool idle() const { return engine.idle(); }
+    std::uint64_t eventsFired() const { return engine.eventsFired(); }
+
+    template <typename Fire>
+    void
+    run(Fire &&fire)
+    {
+        std::function<void(std::uint32_t)> f = fire;
+        onFire = &f;
+        engine.run();
+        onFire = nullptr;
+    }
+
+  private:
+    void
+    fire(EventKind, std::uint32_t unit) override
+    {
+        (*onFire)(unit);
+    }
+
+    EventEngine engine;
+    std::function<void(std::uint32_t)> *onFire = nullptr;
+};
+
+/**
+ * Run the script of @p seed on @p e: a few initial events, and every
+ * firing event posts 0, 1 or several more, a third of them with zero
+ * delay and the rest within 3 ns, so equal-time ties are common.  An
+ * event's posts depend only on the seed and its id.
+ */
+template <typename Engine>
+std::vector<Observed>
+runScript(std::uint64_t seed, Engine &e)
+{
+    constexpr std::uint32_t budget = 3000;
+    std::uint32_t nextId = 0;
+    std::vector<Observed> seen;
+    auto spawn = [&](dysel::support::Rng &rng) {
+        const auto how = static_cast<Post>(rng.nextBelow(5));
+        const TimeNs delay = rng.nextBool(1.0 / 3) ? 0 : rng.nextBelow(4);
+        e.post(how, delay, nextId++);
+    };
+    dysel::support::Rng init(seed);
+    for (int i = 0; i < 16; ++i)
+        spawn(init);
+    e.run([&](std::uint32_t id) {
+        Observed o{id, e.now(), e.idle(), e.eventsFired(), false, 0};
+        dysel::support::Rng rng(seed * 0x9e3779b97f4a7c15ull + id);
+        const std::uint64_t roll = rng.nextBelow(10);
+        const std::uint64_t posts =
+            nextId >= budget ? 0 : roll < 2 ? 0 : roll < 6 ? 1 : 2 + roll % 3;
+        for (std::uint64_t p = 0; p < posts; ++p) {
+            spawn(rng);
+            if (p == 0) {
+                o.idleAfterPost = e.idle();
+                o.firedAfterPost = e.eventsFired();
+            }
+        }
+        seen.push_back(o);
+    });
+    return seen;
+}
+
+} // namespace
+
+TEST(EventEngineProperty, FiringOrderMatchesPopFirstReference)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        PopFirstEngine ref;
+        EngineUnderTest dut;
+        const auto want = runScript(seed, ref);
+        const auto got = runScript(seed, dut);
+        ASSERT_GT(want.size(), 100u) << "seed " << seed;
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(got[i], want[i]) << "seed " << seed << " event " << i;
+        EXPECT_EQ(dut.eventsFired(), ref.eventsFired()) << "seed " << seed;
+        EXPECT_EQ(dut.now(), ref.now()) << "seed " << seed;
+        EXPECT_TRUE(dut.idle());
+    }
+}
+
+TEST(EventEngineProperty, IdleExcludesTheFiringEvent)
+{
+    // The last pending event is firing: idle() is true until it posts.
+    EventEngine e;
+    std::vector<bool> idle;
+    e.schedule(4, [&] {
+        idle.push_back(e.idle());
+        e.postAfter(0, EventKind::Nop);
+        idle.push_back(e.idle());
+    });
+    e.run();
+    EXPECT_EQ(idle, (std::vector<bool>{true, false}));
+    EXPECT_EQ(e.eventsFired(), 2u);
+    EXPECT_TRUE(e.idle());
 }
